@@ -12,25 +12,19 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import costmodel, datagen, learner, optimizer, system
 from .config import ConfigError, needs_for_command, parse_config
 from .costmodel import ConvergenceCoeffs
 from .csvio import write_csv
-from .learner import TrainConfig, run_fedavg
-from .optimizer import AcsConfig, EstimationPlan
+from .learner import TrainConfig, run_fedavg, sub_seed
+from .optimizer import EstimationPlan
 from .scheduler import Strategy
 
-_DATA_DOMAIN, _PROFILE_DOMAIN, _TRAIN_DOMAIN, _PILOT_DOMAIN = range(4)
-
-
-def _sub_seed(seed, domain):
-    return int(np.random.SeedSequence(seed, spawn_key=(100, domain)).generate_state(1)[0])
+_DATA_KEY, _PROFILE_KEY, _TRAIN_KEY, _PILOT_KEY = ((100, domain) for domain in range(4))
 
 
 def build_dataset(config):
-    seed = _sub_seed(config.seed, _DATA_DOMAIN)
+    seed = sub_seed(config.seed, *_DATA_KEY)
     kind = config.require("dataset.kind")
     if kind == "synthetic":
         return datagen.gen_synthetic(
@@ -70,7 +64,7 @@ def build_profile(config, n_clients):
         t_m_mean=config.get("system.t_m_mean", 0.2),
         e_m_mean=config.get("system.e_m_mean", 0.02),
         jitter=config.get("system.jitter", 0.1),
-        seed=_sub_seed(config.seed, _PROFILE_DOMAIN),
+        seed=sub_seed(config.seed, *_PROFILE_KEY),
         comm_spread=config.get("system.comm_spread", 0.2),
     )
 
@@ -83,37 +77,22 @@ def build_train_config(config, k, e):
         eta0=config.get("train.eta0", 0.1),
         max_rounds=config.get("train.max_rounds", 300),
         target_loss=config.get("train.target_loss"),
-        seed=_sub_seed(config.seed, _TRAIN_DOMAIN),
+        seed=sub_seed(config.seed, *_TRAIN_KEY),
     )
 
 
-def _estimation_plan(config):
-    return EstimationPlan(
-        pairs=config.require("estimate.pairs"),
-        loss_a=config.require("estimate.loss_a"),
-        loss_b=config.require("estimate.loss_b"),
-        round_cap=config.get("estimate.round_cap", 500),
-    )
+def _build(config):
+    """The dataset, its fleet's profile and the fleet-averaged costs."""
+    dataset = build_dataset(config)
+    profile = build_profile(config, dataset.n_clients)
+    return dataset, profile, system.averaged_costs(profile, config.gamma)
 
 
-def _resolve_coeffs(config, dataset, profile, costs, out_dir):
-    """rho from the config when given, otherwise estimated from pilot runs
-    (which also emits estimation.csv and records the overhead)."""
-    rho = config.get("rho")
-    if rho is not None:
-        return ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients), None
-    estimate = optimizer.estimate_rho(
-        _estimation_plan(config),
-        dataset,
-        profile,
-        costs,
-        batch_size=config.get("train.batch_size", 64),
-        eta0=config.get("train.eta0", 0.1),
-        strategy=config.strategy,
-        seed=_sub_seed(config.seed, _PILOT_DOMAIN),
-    )
-    optimizer.write_estimation_csv(estimate.records, os.path.join(out_dir, "estimation.csv"))
-    return ConvergenceCoeffs(rho=estimate.rho, n_clients=dataset.n_clients), estimate
+def _fleet_costs(config):
+    """Averaged costs of the configured fleet, without building the dataset:
+    every dataset kind has exactly dataset.n_clients shards."""
+    profile = build_profile(config, config.require("dataset.n_clients"))
+    return system.averaged_costs(profile, config.gamma)
 
 
 def _grid_ranges(config, n_clients):
@@ -122,30 +101,53 @@ def _grid_ranges(config, n_clients):
     return range(1, k_max + 1), range(1, e_max + 1)
 
 
-def cmd_run(config, out_dir):
-    dataset = build_dataset(config)
-    profile = build_profile(config, dataset.n_clients)
-    costs = system.averaged_costs(profile, config.gamma)
-    mode = config.require("mode")
+def _solve(config, dataset, profile, costs, out_dir, rho, grid=False):
+    """Pick (K*, E*) by ACS, or by grid search when `grid`, and write
+    solution.csv.  With rho None, rho is estimated from the pilot runs, which
+    also write estimation.csv.  Returns (solution, estimate or None)."""
+    estimate = None
+    if rho is None:
+        estimate = optimizer.estimate_rho(
+            EstimationPlan(
+                pairs=config.require("estimate.pairs"),
+                loss_a=config.require("estimate.loss_a"),
+                loss_b=config.require("estimate.loss_b"),
+                round_cap=config.get("estimate.round_cap", 500),
+            ),
+            dataset,
+            profile,
+            costs,
+            batch_size=config.get("train.batch_size", 64),
+            eta0=config.get("train.eta0", 0.1),
+            strategy=config.strategy,
+            seed=sub_seed(config.seed, *_PILOT_KEY),
+        )
+        optimizer.write_estimation_csv(estimate.records, os.path.join(out_dir, "estimation.csv"))
+        rho = estimate.rho
+    coeffs = ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients)
+    if grid:
+        solution = optimizer.grid_search(costs, coeffs, *_grid_ranges(config, dataset.n_clients))
+    elif estimate is not None:
+        solution = estimate.solution
+    else:
+        solution = optimizer.acs_optimize(costs, coeffs)
+    optimizer.write_solution_csv(
+        solution,
+        os.path.join(out_dir, "solution.csv"),
+        rho=rho,
+        overhead=None if estimate is None else estimate.overhead,
+    )
+    return solution, estimate
 
+
+def cmd_run(config, out_dir):
+    dataset, profile, costs = _build(config)
+    mode = config.require("mode")
     if mode == "fixed":
         k, e = config.require("control.k"), config.require("control.e")
     else:
-        coeffs, estimate = _resolve_coeffs(config, dataset, profile, costs, out_dir)
-        if mode == "optimize":
-            solution = (
-                estimate.solution
-                if estimate is not None
-                else optimizer.acs_optimize(costs, coeffs, AcsConfig())
-            )
-        else:
-            k_range, e_range = _grid_ranges(config, dataset.n_clients)
-            solution = optimizer.grid_search(costs, coeffs, k_range, e_range)
-        optimizer.write_solution_csv(
-            solution,
-            os.path.join(out_dir, "solution.csv"),
-            rho=coeffs.rho,
-            overhead=None if estimate is None else estimate.overhead,
+        solution, _ = _solve(
+            config, dataset, profile, costs, out_dir, config.get("rho"), grid=mode == "grid"
         )
         k, e = solution.k_star, solution.e_star
 
@@ -156,21 +158,7 @@ def cmd_run(config, out_dir):
 
 
 def cmd_optimize(config, out_dir):
-    dataset = build_dataset(config)
-    profile = build_profile(config, dataset.n_clients)
-    costs = system.averaged_costs(profile, config.gamma)
-    coeffs, estimate = _resolve_coeffs(config, dataset, profile, costs, out_dir)
-    solution = (
-        estimate.solution
-        if estimate is not None
-        else optimizer.acs_optimize(costs, coeffs, AcsConfig())
-    )
-    optimizer.write_solution_csv(
-        solution,
-        os.path.join(out_dir, "solution.csv"),
-        rho=coeffs.rho,
-        overhead=None if estimate is None else estimate.overhead,
-    )
+    solution, _ = _solve(config, *_build(config), out_dir, config.get("rho"))
     print(
         f"optimize: K*={solution.k_star} E*={solution.e_star} R*={solution.r_star} "
         f"cost={solution.predicted_cost:.6g}"
@@ -179,33 +167,13 @@ def cmd_optimize(config, out_dir):
 
 
 def cmd_estimate(config, out_dir):
-    dataset = build_dataset(config)
-    profile = build_profile(config, dataset.n_clients)
-    costs = system.averaged_costs(profile, config.gamma)
-    estimate = optimizer.estimate_rho(
-        _estimation_plan(config),
-        dataset,
-        profile,
-        costs,
-        batch_size=config.get("train.batch_size", 64),
-        eta0=config.get("train.eta0", 0.1),
-        strategy=config.strategy,
-        seed=_sub_seed(config.seed, _PILOT_DOMAIN),
-    )
-    optimizer.write_estimation_csv(estimate.records, os.path.join(out_dir, "estimation.csv"))
-    optimizer.write_solution_csv(
-        estimate.solution,
-        os.path.join(out_dir, "solution.csv"),
-        rho=estimate.rho,
-        overhead=estimate.overhead,
-    )
+    _, estimate = _solve(config, *_build(config), out_dir, rho=None)
     print(f"estimate: rho={estimate.rho:.6g} overhead_ratio={estimate.overhead:.4f}")
     return 0
 
 
 def cmd_compare_schedulers(config, out_dir):
-    dataset = build_dataset(config)
-    profile = build_profile(config, dataset.n_clients)
+    dataset, profile, _ = _build(config)
     target = config.require("train.target_loss")
     variable = config.require("sweep.variable").lower()
     values = config.require("sweep.values")
@@ -233,10 +201,8 @@ def cmd_compare_schedulers(config, out_dir):
 
 
 def cmd_validate_properties(config, out_dir):
-    dataset = build_dataset(config)
-    profile = build_profile(config, dataset.n_clients)
-    costs = system.averaged_costs(profile, config.gamma)
-    coeffs = ConvergenceCoeffs(rho=config.require("rho"), n_clients=dataset.n_clients)
+    costs = _fleet_costs(config)
+    coeffs = ConvergenceCoeffs(rho=config.require("rho"), n_clients=costs.n_clients)
     findings = optimizer.verify_properties(costs, coeffs)
     optimizer.write_properties_csv(findings, os.path.join(out_dir, "properties.csv"))
     failed = [f.name for f in findings if not f.passed]
@@ -248,11 +214,9 @@ def cmd_validate_properties(config, out_dir):
 
 
 def cmd_cost_surface(config, out_dir):
-    dataset = build_dataset(config)
-    profile = build_profile(config, dataset.n_clients)
-    costs = system.averaged_costs(profile, config.gamma)
-    coeffs = ConvergenceCoeffs(rho=config.require("rho"), n_clients=dataset.n_clients)
-    k_range, e_range = _grid_ranges(config, dataset.n_clients)
+    costs = _fleet_costs(config)
+    coeffs = ConvergenceCoeffs(rho=config.require("rho"), n_clients=costs.n_clients)
+    k_range, e_range = _grid_ranges(config, costs.n_clients)
     costmodel.dump_cost_surface(
         os.path.join(out_dir, "cost_surface.csv"), costs, coeffs, k_range, e_range
     )

@@ -19,18 +19,6 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.problems))
 
 
-def _to_int(text):
-    return int(text)
-
-
-def _to_float(text):
-    return float(text)
-
-
-def _to_str(text):
-    return text
-
-
 def _to_int_list(text):
     return [int(tok) for tok in text.replace(",", " ").split()]
 
@@ -46,48 +34,48 @@ def _to_pairs(text):
 
 
 SCHEMA = {
-    "mode": _to_str,
-    "seed": _to_int,
-    "out": _to_str,
-    "gamma": _to_float,
-    "rho": _to_float,
-    "scheduler": _to_str,
-    "dataset.kind": _to_str,
-    "dataset.n_clients": _to_int,
-    "dataset.alpha": _to_float,
-    "dataset.beta": _to_float,
-    "dataset.size_mean": _to_float,
-    "dataset.size_std": _to_float,
-    "dataset.dim": _to_int,
-    "dataset.classes": _to_int,
-    "dataset.images": _to_str,
-    "dataset.labels": _to_str,
-    "dataset.labels_per_client": _to_int,
-    "dataset.samples_per_client": _to_int,
-    "system.profile": _to_str,
-    "system.t_p_mean": _to_float,
-    "system.t_p_std": _to_float,
-    "system.e_p_mean": _to_float,
-    "system.t_m_mean": _to_float,
-    "system.e_m_mean": _to_float,
-    "system.jitter": _to_float,
-    "system.comm_spread": _to_float,
-    "train.batch_size": _to_int,
-    "train.eta0": _to_float,
-    "train.max_rounds": _to_int,
-    "train.target_loss": _to_float,
-    "control.k": _to_int,
-    "control.e": _to_int,
-    "control.k_max": _to_int,
-    "control.e_max": _to_int,
+    "mode": str,
+    "seed": int,
+    "out": str,
+    "gamma": float,
+    "rho": float,
+    "scheduler": str,
+    "dataset.kind": str,
+    "dataset.n_clients": int,
+    "dataset.alpha": float,
+    "dataset.beta": float,
+    "dataset.size_mean": float,
+    "dataset.size_std": float,
+    "dataset.dim": int,
+    "dataset.classes": int,
+    "dataset.images": str,
+    "dataset.labels": str,
+    "dataset.labels_per_client": int,
+    "dataset.samples_per_client": int,
+    "system.profile": str,
+    "system.t_p_mean": float,
+    "system.t_p_std": float,
+    "system.e_p_mean": float,
+    "system.t_m_mean": float,
+    "system.e_m_mean": float,
+    "system.jitter": float,
+    "system.comm_spread": float,
+    "train.batch_size": int,
+    "train.eta0": float,
+    "train.max_rounds": int,
+    "train.target_loss": float,
+    "control.k": int,
+    "control.e": int,
+    "control.k_max": int,
+    "control.e_max": int,
     "estimate.pairs": _to_pairs,
-    "estimate.loss_a": _to_float,
-    "estimate.loss_b": _to_float,
-    "estimate.round_cap": _to_int,
-    "sweep.variable": _to_str,
+    "estimate.loss_a": float,
+    "estimate.loss_b": float,
+    "estimate.round_cap": int,
+    "sweep.variable": str,
     "sweep.values": _to_int_list,
-    "sweep.k": _to_int,
-    "sweep.e": _to_int,
+    "sweep.k": int,
+    "sweep.e": int,
 }
 
 
@@ -180,18 +168,13 @@ def _static_problems(raw):
     return problems
 
 
-def missing_for(config, needed):
-    """Names of required keys absent from the config."""
-    return [key for key in needed if key not in config.raw]
-
-
 def needs_for_command(config, command):
     """Per-command requirement check; returns a list of problems."""
     problems = []
     raw = config.raw
 
     def need(*keys):
-        problems.extend(f"missing required key: {k}" for k in missing_for(config, keys))
+        problems.extend(f"missing required key: {k}" for k in keys if k not in raw)
 
     need("gamma", "dataset.kind")
     kind = raw.get("dataset.kind")

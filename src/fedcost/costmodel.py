@@ -49,6 +49,11 @@ class CostReport:
     rounds: float
 
 
+def _scalar(out):
+    """Unwrap a 0-d result so scalar inputs give scalar outputs."""
+    return out[()] if out.ndim == 0 else out
+
+
 def sampling_penalty(k, n_clients):
     """phi(K) = 1 + (N - K) / (K (N - 1)): the E^2 multiplier in the
     convergence budget.  Equals 1 at full participation, 2 at K = 1."""
@@ -56,26 +61,22 @@ def sampling_penalty(k, n_clients):
     if np.any(k <= 0):
         raise ValueError("k must be > 0")
     if n_clients == 1:
-        out = np.ones_like(k)
-    else:
-        out = 1.0 + (n_clients - k) / (k * (n_clients - 1))
-    return out[()] if out.ndim == 0 else out
+        return _scalar(np.ones_like(k))
+    return _scalar(1.0 + (n_clients - k) / (k * (n_clients - 1)))
 
 
 def expected_energy(k, e, r, costs):
     """Exact expected total energy K (e_p E + e_m) R."""
     k = np.asarray(k, dtype=float)
     e = np.asarray(e, dtype=float)
-    out = k * (costs.e_p * e + costs.e_m) * r
-    return out[()] if out.ndim == 0 else out
+    return _scalar(k * (costs.e_p * e + costs.e_m) * r)
 
 
 def expected_time_approx(k, e, r, costs):
     """Tractable expected total time (t_p E + t_m K) R."""
     k = np.asarray(k, dtype=float)
     e = np.asarray(e, dtype=float)
-    out = (costs.t_p * e + costs.t_m * k) * r
-    return out[()] if out.ndim == 0 else out
+    return _scalar((costs.t_p * e + costs.t_m * k) * r)
 
 
 def expected_time_exact(k, e, r, profile):
@@ -100,12 +101,16 @@ def expected_time_exact(k, e, r, profile):
     return (first_term * e + t_m * k) * r
 
 
+def _budget_numerator(k, e, coeffs):
+    """rho + phi(K) E^2, the convergence budget scaled by E R."""
+    return coeffs.rho + sampling_penalty(k, coeffs.n_clients) * e**2
+
+
 def convergence_bound(k, e, r, coeffs):
     """Loss-precision budget after R rounds: (rho + phi(K) E^2) / (E R)."""
     k = np.asarray(k, dtype=float)
     e = np.asarray(e, dtype=float)
-    out = (coeffs.rho + sampling_penalty(k, coeffs.n_clients) * e**2) / (e * r)
-    return out[()] if out.ndim == 0 else out
+    return _scalar(_budget_numerator(k, e, coeffs) / (e * r))
 
 
 def rounds_needed(k, e, coeffs):
@@ -113,8 +118,7 @@ def rounds_needed(k, e, coeffs):
     (rho + phi(K) E^2) / (epsilon E).  Continuous; callers ceil to simulate."""
     k = np.asarray(k, dtype=float)
     e = np.asarray(e, dtype=float)
-    out = (coeffs.rho + sampling_penalty(k, coeffs.n_clients) * e**2) / (coeffs.epsilon * e)
-    return out[()] if out.ndim == 0 else out
+    return _scalar(_budget_numerator(k, e, coeffs) / (coeffs.epsilon * e))
 
 
 def p3_objective(k, e, costs, coeffs):
@@ -133,8 +137,7 @@ def p3_objective(k, e, costs, coeffs):
         raise ValueError("k and e must be > 0")
     g = costs.gamma
     rate = (1.0 - g) * (costs.t_p * e + costs.t_m * k) + g * k * (costs.e_p * e + costs.e_m)
-    out = rate * (coeffs.rho + sampling_penalty(k, costs.n_clients) * e**2) / (coeffs.epsilon * e)
-    return out[()] if out.ndim == 0 else out
+    return _scalar(rate * _budget_numerator(k, e, coeffs) / (coeffs.epsilon * e))
 
 
 def cost_report(k, e, costs, coeffs):

@@ -67,10 +67,6 @@ class ClientShard:
     def n_k(self):
         return int(self.features.shape[0])
 
-    @property
-    def samples(self):
-        return [DataSample(self.features[i], int(self.labels[i])) for i in range(self.n_k)]
-
 
 @dataclass
 class FederatedDataset:

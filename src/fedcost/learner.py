@@ -169,6 +169,11 @@ def _substream(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
+def sub_seed(seed, *key):
+    """Integer seed keyed on (seed, key), for callees that take a plain seed."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+
+
 _SAMPLING_DOMAIN = 0
 _COMM_DOMAIN = 1
 _SGD_DOMAIN = 2

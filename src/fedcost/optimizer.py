@@ -20,7 +20,7 @@ import numpy as np
 
 from .costmodel import ConvergenceCoeffs, p3_objective, rounds_needed, sampling_penalty
 from .csvio import write_csv
-from .learner import TrainConfig, run_fedavg
+from .learner import TrainConfig, run_fedavg, sub_seed
 from .scheduler import Strategy
 
 
@@ -229,7 +229,6 @@ def run_pilots(plan, dataset, profile, batch_size=64, eta0=0.1,
     round counts at which each level was first reached."""
     records = []
     for i, (k, e) in enumerate(plan.pairs):
-        pilot_seed = int(np.random.SeedSequence(seed, spawn_key=(3, i)).generate_state(1)[0])
         config = TrainConfig(
             k=k,
             e=e,
@@ -237,7 +236,7 @@ def run_pilots(plan, dataset, profile, batch_size=64, eta0=0.1,
             eta0=eta0,
             max_rounds=plan.round_cap,
             target_loss=plan.loss_b,
-            seed=pilot_seed,
+            seed=sub_seed(seed, 3, i),
         )
         _, traces = run_fedavg(dataset, profile, config, strategy=strategy)
         r_a = _rounds_to_loss(traces, plan.loss_a)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_csv
-
 _BRUTE_FORCE_MAX = 9
 
 
@@ -98,41 +96,17 @@ def brute_force_min_time(job):
     k = job.size
     if k > _BRUTE_FORCE_MAX:
         raise ValueError(f"brute force limited to K <= {_BRUTE_FORCE_MAX}, got {k}")
-    comp, comm = job.comp, job.comm
+    # plain lists: indexing them per permutation is far cheaper than numpy
+    # fancy indexing, and the chain sums stay the same float64 operations
+    comp, comm = job.comp.tolist(), job.comm.tolist()
     # seed the search with the ascending-computation order so exact ties
     # resolve to the canonical schedule
-    best_perm = tuple(np.lexsort((job.client_ids, comp)))
-    best_time = _chain_time(comp[list(best_perm)], comm[list(best_perm)])
+    best_perm = tuple(np.lexsort((job.client_ids, job.comp)))
+    best_time = _chain_time([comp[i] for i in best_perm], [comm[i] for i in best_perm])
     for perm in itertools.permutations(range(k)):
-        t = _chain_time(comp[list(perm)], comm[list(perm)])
+        t = _chain_time([comp[i] for i in perm], [comm[i] for i in perm])
         if t < best_time:
             best_time = t
             best_perm = perm
     return best_time, tuple(int(job.client_ids[i]) for i in best_perm)
 
-
-def jobs_to_csv(jobs, path):
-    """Dump a job corpus, one row per (job, client)."""
-    def rows():
-        for j, job in enumerate(jobs):
-            for i in range(job.size):
-                yield [j, int(job.client_ids[i]), job.comp[i], job.comm[i]]
-
-    write_csv(path, ["job", "client_id", "comp_s", "comm_s"], rows())
-
-
-def jobs_from_csv(path):
-    """Inverse of jobs_to_csv."""
-    import csv
-
-    grouped = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            grouped.setdefault(int(row["job"]), []).append(
-                (int(row["client_id"]), float(row["comp_s"]), float(row["comm_s"]))
-            )
-    jobs = []
-    for j in sorted(grouped):
-        ids, comp, comm = zip(*grouped[j])
-        jobs.append(RoundJob(comp=np.array(comp), comm=np.array(comm), client_ids=np.array(ids)))
-    return jobs

@@ -1,9 +1,11 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedcost.cli import main
-from fedcost.config import ConfigError, needs_for_command, parse_config
+from fedcost.config import SCHEMA, ConfigError, needs_for_command, parse_config
 
 
 BASE = """
@@ -19,6 +21,11 @@ system.jitter = 0.1
 train.max_rounds = 40
 train.batch_size = 32
 """
+
+PLAN = (
+    "estimate.pairs = 2:5 4:10 8:20\nestimate.loss_a = 1.6\nestimate.loss_b = 1.2\n"
+    "estimate.round_cap = 300\n"
+)
 
 
 def write_config(tmp_path, body, name="exp.cfg"):
@@ -138,10 +145,7 @@ def test_cost_surface_grid(tmp_path):
 
 
 def test_estimate_command(tmp_path):
-    body = BASE.format(gamma=0.5) + (
-        "estimate.pairs = 2:5 4:10 8:20\nestimate.loss_a = 1.6\nestimate.loss_b = 1.2\n"
-        f"estimate.round_cap = 300\nout = {tmp_path/'out'}\n"
-    )
+    body = BASE.format(gamma=0.5) + PLAN + f"out = {tmp_path/'out'}\n"
     cfg = write_config(tmp_path, body)
     assert main(["estimate", "--config", cfg]) == 0
     est = read(tmp_path / "out", "estimation.csv").splitlines()
@@ -149,6 +153,42 @@ def test_estimate_command(tmp_path):
     assert len(est) == 4
     sol = read(tmp_path / "out", "solution.csv").splitlines()
     assert "overhead_ratio" in sol[0]
+
+
+def test_optimize_estimate_and_run_write_the_same_solution(tmp_path):
+    cfg = write_config(tmp_path, BASE.format(gamma=0.5) + PLAN + "mode = optimize\n")
+    outs = {cmd: str(tmp_path / cmd) for cmd in ("optimize", "estimate", "run")}
+    for cmd, out in outs.items():
+        assert main([cmd, "--config", cfg, "--out", out]) == 0
+    for name in ("estimation.csv", "solution.csv"):
+        assert read(outs["optimize"], name) == read(outs["estimate"], name)
+        assert read(outs["optimize"], name) == read(outs["run"], name)
+
+
+_VALUES = st.one_of(
+    st.integers(-5, 50).map(str),
+    st.floats().map(repr),
+    st.text(),
+    st.lists(st.tuples(st.integers(-3, 30), st.integers(-3, 30)), max_size=4).map(
+        lambda pairs: " ".join(f"{k}:{e}" for k, e in pairs)
+    ),
+)
+_LINES = st.one_of(
+    st.tuples(st.sampled_from(sorted(SCHEMA)), _VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_LINES, max_size=20))
+def test_parse_config_raises_only_config_error(tmp_path, lines):
+    path = tmp_path / "fuzz.cfg"
+    path.write_text("\n".join(lines))
+    try:
+        parse_config(str(path))
+    except ConfigError:
+        pass
 
 
 def test_cli_reports_config_errors_and_fails(tmp_path, capsys):

@@ -12,6 +12,7 @@ from fedcost.learner import (
     local_sgd,
     mean_cross_entropy,
     run_fedavg,
+    sub_seed,
 )
 from fedcost.scheduler import Strategy
 from fedcost.system import sample_profile
@@ -263,3 +264,13 @@ def test_trace_export_layout(tmp_path, desk_dataset, desk_profile):
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "0" and len(first[4].split(";")) == 10
+
+
+def test_sub_seed_matches_the_inline_derivations_it_replaced():
+    def inline(seed, key):
+        return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+
+    keys = [(100, domain) for domain in range(4)] + [(3, i) for i in range(6)]
+    for seed in (0, 7, 2**40 + 3):
+        for key in keys:
+            assert sub_seed(seed, *key) == inline(seed, key)

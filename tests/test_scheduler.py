@@ -5,8 +5,6 @@ from fedcost.scheduler import (
     RoundJob,
     Strategy,
     brute_force_min_time,
-    jobs_from_csv,
-    jobs_to_csv,
     round_time,
 )
 
@@ -134,15 +132,3 @@ def test_strategy_parsing():
     with pytest.raises(ValueError):
         Strategy.parse("nonsense")
 
-
-def test_job_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    jobs = [random_job(rng, int(rng.integers(2, 6))) for _ in range(4)]
-    path = tmp_path / "jobs.csv"
-    jobs_to_csv(jobs, str(path))
-    back = jobs_from_csv(str(path))
-    assert len(back) == len(jobs)
-    for a, b in zip(jobs, back):
-        np.testing.assert_array_equal(a.comp, b.comp)
-        np.testing.assert_array_equal(a.comm, b.comm)
-        np.testing.assert_array_equal(a.client_ids, b.client_ids)
