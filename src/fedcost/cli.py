@@ -18,7 +18,7 @@ from .costmodel import ConvergenceCoeffs
 from .csvio import write_csv
 from .learner import TrainConfig, run_fedavg, sub_seed
 from .optimizer import EstimationPlan
-from .scheduler import Strategy
+from .scheduler import Strategy, round_time
 
 _DATA_KEY, _PROFILE_KEY, _TRAIN_KEY, _PILOT_KEY = ((100, domain) for domain in range(4))
 
@@ -119,7 +119,6 @@ def _solve(config, dataset, profile, costs, out_dir, rho, grid=False):
             costs,
             batch_size=config.get("train.batch_size", 64),
             eta0=config.get("train.eta0", 0.1),
-            strategy=config.strategy,
             seed=sub_seed(config.seed, *_PILOT_KEY),
         )
         optimizer.write_estimation_csv(estimate.records, os.path.join(out_dir, "estimation.csv"))
@@ -151,8 +150,8 @@ def cmd_run(config, out_dir):
         )
         k, e = solution.k_star, solution.e_star
 
-    _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e), config.strategy)
-    learner.export_traces(traces, os.path.join(out_dir, "traces.csv"))
+    _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
+    learner.export_traces(traces, os.path.join(out_dir, "traces.csv"), config.strategy)
     print(f"run: K={k} E={e} rounds={len(traces)} final_loss={traces[-1].loss:.6f}")
     return 0
 
@@ -184,12 +183,10 @@ def cmd_compare_schedulers(config, out_dir):
             k, e = config.require("sweep.k"), value
         else:
             k, e = value, config.require("sweep.e")
+        _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
+        reached = traces[-1].loss <= target
         for strategy in Strategy:
-            _, traces = run_fedavg(
-                dataset, profile, build_train_config(config, k, e), strategy
-            )
-            reached = traces[-1].loss <= target
-            total = sum(t.time_s for t in traces)
+            total = sum(round_time(t.job, strategy) for t in traces)
             rows.append([strategy.value, variable, value, total, len(traces), reached])
     write_csv(
         os.path.join(out_dir, "schedulers.csv"),

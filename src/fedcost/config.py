@@ -168,6 +168,10 @@ def _static_problems(raw):
     return problems
 
 
+# the commands that build the dataset; the others take N from dataset.n_clients
+_BUILDS_DATASET = ("run", "optimize", "estimate", "compare-schedulers")
+
+
 def needs_for_command(config, command):
     """Per-command requirement check; returns a list of problems."""
     problems = []
@@ -176,13 +180,9 @@ def needs_for_command(config, command):
     def need(*keys):
         problems.extend(f"missing required key: {k}" for k in keys if k not in raw)
 
-    need("gamma", "dataset.kind")
-    kind = raw.get("dataset.kind")
-    if kind == "synthetic":
-        need("dataset.n_clients")
-    elif kind == "idx":
-        need("dataset.images", "dataset.labels", "dataset.n_clients",
-             "dataset.samples_per_client")
+    need("gamma", "dataset.kind", "dataset.n_clients")
+    if raw.get("dataset.kind") == "idx" and command in _BUILDS_DATASET:
+        need("dataset.images", "dataset.labels", "dataset.samples_per_client")
 
     has_rho = "rho" in raw
     has_plan = all(k in raw for k in ("estimate.pairs", "estimate.loss_a", "estimate.loss_b"))

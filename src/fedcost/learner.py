@@ -2,8 +2,11 @@
 
 One training round: sample K of the N clients uniformly without replacement,
 run E local SGD steps on each in parallel with a per-round decayed learning
-rate, aggregate the returned models weighted by shard size, then charge the
-round's simulated time (via the chosen uplink strategy) and energy.
+rate, aggregate the returned models weighted by shard size, then draw the
+round's communication costs.  Each trace keeps the round's job (computation
+and upload seconds per sampled client) and its energy; the uplink strategy
+only prices the job, via scheduler.round_time, so one trajectory serves
+every strategy.
 
 Gradients are explicit (softmax minus one-hot), which keeps the model convex
 and finite-difference checkable.  All client randomness is pre-keyed on
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import write_csv
-from .scheduler import RoundJob, Strategy, round_time
+from .scheduler import RoundJob, round_time
 from .system import draw_round_costs
 
 
@@ -70,7 +73,7 @@ class RoundTrace:
     round_index: int
     sampled_ids: tuple
     loss: float
-    time_s: float
+    job: RoundJob
     energy_j: float
 
 
@@ -179,7 +182,7 @@ _COMM_DOMAIN = 1
 _SGD_DOMAIN = 2
 
 
-def run_fedavg(dataset, profile, config, strategy=Strategy.OPTIMAL_TS, init_model=None):
+def run_fedavg(dataset, profile, config):
     """Federated averaging with per-round cost accounting.
 
     Stops after max_rounds, or earlier once the post-aggregation global loss
@@ -195,9 +198,7 @@ def run_fedavg(dataset, profile, config, strategy=Strategy.OPTIMAL_TS, init_mode
     if config.eta0 < 0:
         raise ValueError("eta0 must be >= 0")
 
-    model = init_model.copy() if init_model is not None else ModelParams.zeros(
-        dataset.n_classes, dataset.n_features
-    )
+    model = ModelParams.zeros(dataset.n_classes, dataset.n_features)
     sample_rng = _substream(config.seed, _SAMPLING_DOMAIN)
     traces = []
     for r in range(config.max_rounds):
@@ -216,15 +217,13 @@ def run_fedavg(dataset, profile, config, strategy=Strategy.OPTIMAL_TS, init_mode
 
         comm_rng = _substream(config.seed, _COMM_DOMAIN, r)
         t_draw, e_draw = draw_round_costs(profile, ids, comm_rng)
-        job = RoundJob(comp=profile.t_comp[ids] * config.e, comm=t_draw, client_ids=ids)
-        time_s = round_time(job, strategy)
         energy = float(np.sum(profile.e_comp[ids] * config.e + e_draw))
         traces.append(
             RoundTrace(
                 round_index=r,
                 sampled_ids=tuple(int(i) for i in ids),
                 loss=loss,
-                time_s=time_s,
+                job=RoundJob(comp=profile.t_comp[ids] * config.e, comm=t_draw, client_ids=ids),
                 energy_j=energy,
             )
         )
@@ -233,15 +232,15 @@ def run_fedavg(dataset, profile, config, strategy=Strategy.OPTIMAL_TS, init_mode
     return model, traces
 
 
-def export_traces(traces, path):
-    """Write round traces as CSV: round, loss, round_time_s, round_energy_J,
-    sampled_ids (semicolon-joined)."""
+def export_traces(traces, path, strategy):
+    """Write round traces as CSV: round, loss, round_time_s (each round's job
+    priced under `strategy`), round_energy_J, sampled_ids (semicolon-joined)."""
     def rows():
         for t in traces:
             yield [
                 t.round_index,
                 t.loss,
-                t.time_s,
+                round_time(t.job, strategy),
                 t.energy_j,
                 ";".join(str(i) for i in t.sampled_ids),
             ]

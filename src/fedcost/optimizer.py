@@ -21,7 +21,6 @@ import numpy as np
 from .costmodel import ConvergenceCoeffs, p3_objective, rounds_needed, sampling_penalty
 from .csvio import write_csv
 from .learner import TrainConfig, run_fedavg, sub_seed
-from .scheduler import Strategy
 
 
 class EstimationError(RuntimeError):
@@ -223,8 +222,7 @@ def _rounds_to_loss(traces, level):
     return None
 
 
-def run_pilots(plan, dataset, profile, batch_size=64, eta0=0.1,
-               strategy=Strategy.OPTIMAL_TS, seed=0):
+def run_pilots(plan, dataset, profile, batch_size=64, eta0=0.1, seed=0):
     """Run each pilot pair until the lower loss level is crossed; record the
     round counts at which each level was first reached."""
     records = []
@@ -238,7 +236,7 @@ def run_pilots(plan, dataset, profile, batch_size=64, eta0=0.1,
             target_loss=plan.loss_b,
             seed=sub_seed(seed, 3, i),
         )
-        _, traces = run_fedavg(dataset, profile, config, strategy=strategy)
+        _, traces = run_fedavg(dataset, profile, config)
         r_a = _rounds_to_loss(traces, plan.loss_a)
         r_b = _rounds_to_loss(traces, plan.loss_b)
         if r_b is None:
@@ -284,15 +282,12 @@ def rho_from_pilots(records, n_clients, min_ratio_gap=0.05):
     return float(np.mean(estimates))
 
 
-def estimate_rho(plan, dataset, profile, costs, batch_size=64, eta0=0.1,
-                 strategy=Strategy.OPTIMAL_TS, seed=0, acs_config=None,
-                 min_ratio_gap=0.05):
+def estimate_rho(plan, dataset, profile, costs, batch_size=64, eta0=0.1, seed=0,
+                 acs_config=None, min_ratio_gap=0.05):
     """Estimate rho from pilot runs, then optimize (K, E) and report the
     estimation overhead: pilot iterations divided by the optimized run's
     K* E* R*."""
-    records = run_pilots(
-        plan, dataset, profile, batch_size=batch_size, eta0=eta0, strategy=strategy, seed=seed
-    )
+    records = run_pilots(plan, dataset, profile, batch_size=batch_size, eta0=eta0, seed=seed)
     rho = rho_from_pilots(records, dataset.n_clients, min_ratio_gap=min_ratio_gap)
     coeffs = ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients)
     solution = acs_optimize(costs, coeffs, acs_config)

@@ -70,14 +70,22 @@ def desk():
     return dataset, profile
 
 
-def run_to_target(dataset, profile, k, e, target, cap=1500, seed=21,
-                  strategy=Strategy.OPTIMAL_TS):
+def train_to_target(dataset, profile, k, e, target, cap=1500, seed=21):
     config = TrainConfig(k=k, e=e, max_rounds=cap, target_loss=target, seed=seed)
-    _, traces = run_fedavg(dataset, profile, config, strategy)
+    _, traces = run_fedavg(dataset, profile, config)
+    return traces
+
+
+def run_totals(traces, target, strategy=Strategy.OPTIMAL_TS):
+    """(reached, total time under the strategy, total energy, rounds)."""
     reached = traces[-1].loss <= target
-    total_time = sum(t.time_s for t in traces)
+    total_time = sum(round_time(t.job, strategy) for t in traces)
     total_energy = sum(t.energy_j for t in traces)
     return reached, total_time, total_energy, len(traces)
+
+
+def run_to_target(dataset, profile, k, e, target, cap=1500, seed=21):
+    return run_totals(train_to_target(dataset, profile, k, e, target, cap, seed), target)
 
 
 @criterion("1 scheduling optimality (1000 random jobs, exact)")
@@ -346,11 +354,10 @@ def test_criterion_8_scheduler_comparison(desk):
     def sweep(points):
         gaps = []
         for k, e in points:
+            traces = train_to_target(dataset, profile, k, e, target, cap=900, seed=33)
             totals = {}
             for strategy in Strategy:
-                reached, total_time, _, _ = run_to_target(
-                    dataset, profile, k, e, target, cap=900, seed=33, strategy=strategy
-                )
+                reached, total_time, _, _ = run_totals(traces, target, strategy)
                 assert reached, f"(K={k}, E={e}, {strategy.value}) missed target"
                 totals[strategy] = total_time
             assert totals[Strategy.OPTIMAL_TS] <= totals[Strategy.WAIT_ALL_TS] + 1e-9

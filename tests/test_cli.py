@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -21,6 +22,9 @@ system.jitter = 0.1
 train.max_rounds = 40
 train.batch_size = 32
 """
+
+FIXED = "mode = fixed\ncontrol.k = 4\ncontrol.e = 10\ntrain.target_loss = 1.9\n"
+SWEEP_K = "train.target_loss = 1.9\nsweep.variable = k\nsweep.values = 1 2 4 8\nsweep.e = 10\n"
 
 PLAN = (
     "estimate.pairs = 2:5 4:10 8:20\nestimate.loss_a = 1.6\nestimate.loss_b = 1.2\n"
@@ -63,10 +67,7 @@ def test_missing_keys_reported_per_command(tmp_path):
 
 
 def test_run_fixed_mode_reaches_target(tmp_path):
-    body = BASE.format(gamma=0.5) + (
-        "mode = fixed\ncontrol.k = 4\ncontrol.e = 10\ntrain.target_loss = 1.9\n"
-        f"out = {tmp_path/'out'}\n"
-    )
+    body = BASE.format(gamma=0.5) + FIXED + f"out = {tmp_path/'out'}\n"
     cfg = write_config(tmp_path, body)
     assert main(["run", "--config", cfg]) == 0
     lines = read(tmp_path / "out", "traces.csv").splitlines()
@@ -103,10 +104,7 @@ def test_seed_override_changes_output(tmp_path):
 
 
 def test_compare_schedulers_dominance_and_k1_equality(tmp_path):
-    body = BASE.format(gamma=0.0) + (
-        "train.target_loss = 1.9\nsweep.variable = k\nsweep.values = 1 2 4 8\nsweep.e = 10\n"
-        f"out = {tmp_path/'out'}\n"
-    )
+    body = BASE.format(gamma=0.0) + SWEEP_K + f"out = {tmp_path/'out'}\n"
     cfg = write_config(tmp_path, body)
     assert main(["compare-schedulers", "--config", cfg]) == 0
     lines = read(tmp_path / "out", "schedulers.csv").splitlines()
@@ -121,6 +119,61 @@ def test_compare_schedulers_dominance_and_k1_equality(tmp_path):
         assert table[("optimal-ts", value)] <= table[("static-fs", value)] + 1e-9
     assert table[("optimal-ts", 1)] == pytest.approx(table[("wait-all-ts", 1)])
     assert table[("optimal-ts", 1)] == pytest.approx(table[("static-fs", 1)])
+
+
+def sha256(out_dir, name):
+    with open(os.path.join(out_dir, name), "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def test_artifacts_match_recorded_digests(tmp_path):
+    # digests of the artifacts as written when every strategy retrained its own
+    # trajectory: pricing one shared trajectory must not change a byte
+    run_cfg = write_config(tmp_path, BASE.format(gamma=0.5) + FIXED, "run.cfg")
+    cmp_cfg = write_config(tmp_path, BASE.format(gamma=0.0) + SWEEP_K, "cmp.cfg")
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", run_cfg, "--out", out]) == 0
+    assert main(["compare-schedulers", "--config", cmp_cfg, "--out", out]) == 0
+    assert sha256(out, "traces.csv") == (
+        "5756a553320a3a464b03a887cfd9982015c3e12a915418ec2cb9ba715c454f9d"
+    )
+    assert sha256(out, "schedulers.csv") == (
+        "9edebfa995d89f94bcfc0b916f39fdba3736aa5c60f300713154a10cbbac5b80"
+    )
+
+
+def test_scheduler_only_prices_the_rounds(tmp_path):
+    outs = {}
+    for name in ("optimal-ts", "wait-all-ts", "static-fs"):
+        body = BASE.format(gamma=0.5) + (
+            f"mode = fixed\ncontrol.k = 4\ncontrol.e = 10\nscheduler = {name}\n" + PLAN
+        )
+        cfg = write_config(tmp_path, body, f"{name}.cfg")
+        outs[name] = str(tmp_path / name)
+        assert main(["run", "--config", cfg, "--out", outs[name]]) == 0
+        assert main(["estimate", "--config", cfg, "--out", outs[name]]) == 0
+    for name in ("estimation.csv", "solution.csv"):
+        assert read(outs["optimal-ts"], name) == read(outs["wait-all-ts"], name)
+        assert read(outs["optimal-ts"], name) == read(outs["static-fs"], name)
+    opt = read(outs["optimal-ts"], "traces.csv").splitlines()
+    wait = read(outs["wait-all-ts"], "traces.csv").splitlines()
+    assert len(opt) == len(wait) == 41
+    assert opt[0] == wait[0]
+    for a, b in zip(opt[1:], wait[1:]):
+        a, b = a.split(","), b.split(",")
+        assert a[:2] + a[3:] == b[:2] + b[3:]  # round, loss, energy, ids
+        assert float(a[2]) <= float(b[2])
+    assert opt != wait
+
+
+def test_cost_model_commands_need_no_idx_paths(tmp_path):
+    body = "gamma = 0.5\nrho = 300\ndataset.kind = idx\ndataset.n_clients = 5\n"
+    cfg = write_config(tmp_path, body)
+    for cmd in ("validate-properties", "cost-surface"):
+        assert main([cmd, "--config", cfg, "--out", str(tmp_path / cmd)]) == 0
+    problems = needs_for_command(parse_config(cfg), "run")
+    assert {"missing required key: dataset.images",
+            "missing required key: dataset.samples_per_client"} <= set(problems)
 
 
 def test_validate_properties_writes_findings(tmp_path):

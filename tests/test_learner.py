@@ -14,7 +14,7 @@ from fedcost.learner import (
     run_fedavg,
     sub_seed,
 )
-from fedcost.scheduler import Strategy
+from fedcost.scheduler import Strategy, round_time
 from fedcost.system import sample_profile
 
 
@@ -181,11 +181,14 @@ def test_fedavg_full_participation_samples_everyone(desk_dataset, desk_profile):
 
 
 def test_fedavg_traces_are_deterministic(desk_dataset, desk_profile):
+    def key(x):
+        job = x.job
+        return (x.loss, x.energy_j, x.sampled_ids,
+                job.comp.tobytes(), job.comm.tobytes(), job.client_ids.tobytes())
+
     _, t1 = run_fedavg(desk_dataset, desk_profile, desk_config(max_rounds=6))
     _, t2 = run_fedavg(desk_dataset, desk_profile, desk_config(max_rounds=6))
-    assert [(x.loss, x.time_s, x.energy_j, x.sampled_ids) for x in t1] == [
-        (x.loss, x.time_s, x.energy_j, x.sampled_ids) for x in t2
-    ]
+    assert [key(x) for x in t1] == [key(x) for x in t2]
 
 
 def test_fedavg_smoothed_loss_decreases(desk_dataset, desk_profile):
@@ -241,11 +244,14 @@ def test_fedavg_loss_gap_decays_like_one_over_rounds(desk_dataset, desk_profile)
 
 def test_fedavg_round_costs_use_chosen_strategy(desk_dataset, desk_profile):
     cfg = desk_config(max_rounds=8)
-    _, opt = run_fedavg(desk_dataset, desk_profile, cfg, Strategy.OPTIMAL_TS)
-    _, wait = run_fedavg(desk_dataset, desk_profile, cfg, Strategy.WAIT_ALL_TS)
-    assert [t.loss for t in opt] == [t.loss for t in wait]  # same learning path
-    assert all(a.time_s <= b.time_s + 1e-12 for a, b in zip(opt, wait))
-    assert [t.energy_j for t in opt] == [t.energy_j for t in wait]
+    _, traces = run_fedavg(desk_dataset, desk_profile, cfg)
+    for t in traces:
+        ids = np.array(t.sampled_ids)
+        np.testing.assert_array_equal(t.job.client_ids, ids)
+        np.testing.assert_array_equal(t.job.comp, desk_profile.t_comp[ids] * cfg.e)
+        opt = round_time(t.job, Strategy.OPTIMAL_TS)
+        assert opt <= round_time(t.job, Strategy.WAIT_ALL_TS) + 1e-12
+        assert opt <= round_time(t.job, Strategy.STATIC_FS) + 1e-12
 
 
 def test_fedavg_validates_config(desk_dataset, desk_profile):
@@ -258,7 +264,7 @@ def test_fedavg_validates_config(desk_dataset, desk_profile):
 def test_trace_export_layout(tmp_path, desk_dataset, desk_profile):
     _, traces = run_fedavg(desk_dataset, desk_profile, desk_config(max_rounds=4))
     path = tmp_path / "traces.csv"
-    export_traces(traces, str(path))
+    export_traces(traces, str(path), Strategy.OPTIMAL_TS)
     lines = path.read_text().splitlines()
     assert lines[0] == "round,loss,round_time_s,round_energy_J,sampled_ids"
     assert len(lines) == 5
