@@ -20,7 +20,6 @@ from .costmodel import (
 )
 from .datagen import (
     ClientShard,
-    DataSample,
     FederatedDataset,
     gen_synthetic,
     load_idx,

@@ -37,9 +37,8 @@ def build_dataset(config):
             n_features=config.get("dataset.dim", 60),
             n_classes=config.get("dataset.classes", 10),
         )
-    pool = datagen.load_idx(config.require("dataset.images"), config.require("dataset.labels"))
     return datagen.partition_by_label(
-        pool,
+        *datagen.load_idx(config.require("dataset.images"), config.require("dataset.labels")),
         n_clients=config.require("dataset.n_clients"),
         labels_per_client=config.get("dataset.labels_per_client", 2),
         samples_per_client=config.require("dataset.samples_per_client"),

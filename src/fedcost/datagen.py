@@ -9,6 +9,8 @@ is exactly the standard construction; at (0, 0) every client shares one
 labeling model, so the data are i.i.d. up to input noise.
 """
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -37,17 +39,11 @@ class IdxCountMismatchError(IdxError):
     pass
 
 
-@dataclass(frozen=True)
-class DataSample:
-    features: np.ndarray
-    label: int
-
-
 @dataclass
 class ClientShard:
-    """One client's local data, stored as stacked arrays."""
+    """One client's local data, stored as stacked arrays.  A client's id is
+    its shard's index in FederatedDataset.shards."""
 
-    client_id: int
     features: np.ndarray  # (n_k, d)
     labels: np.ndarray  # (n_k,)
 
@@ -144,13 +140,14 @@ def gen_synthetic(alpha, beta, n_clients, size_mean, size_std, seed, n_features=
         v = b_off + np.sqrt(beta) * rng.standard_normal(n_features)
         x = v + rng.standard_normal((int(sizes[k]), n_features)) * cov_scale
         labels = np.argmax(x @ weight.T + bias, axis=1)
-        shards.append(ClientShard(client_id=k, features=x, labels=labels))
+        shards.append(ClientShard(features=x, labels=labels))
     return FederatedDataset(shards=shards, n_features=n_features, n_classes=n_classes)
 
 
-def partition_by_label(pool, n_clients, labels_per_client, samples_per_client, seed):
-    """Partition a sample pool into shards of exactly `labels_per_client`
-    distinct labels and `samples_per_client` samples each.
+def partition_by_label(features, labels, n_clients, labels_per_client, samples_per_client, seed):
+    """Partition a pool, given as (n, d) features and (n,) labels, into shards
+    of exactly `labels_per_client` distinct labels and `samples_per_client`
+    samples each.
 
     Labels are assigned to clients in a cyclic block pattern; the per-label
     quota is balanced (samples_per_client split as evenly as the label count
@@ -165,55 +162,47 @@ def partition_by_label(pool, n_clients, labels_per_client, samples_per_client, s
             f"samples_per_client={samples_per_client} cannot cover "
             f"{labels_per_client} distinct labels"
         )
-    if not pool:
+    if labels.size == 0:
         raise PartitionError("empty sample pool")
 
-    by_label = {}
-    for idx, sample in enumerate(pool):
-        by_label.setdefault(int(sample.label), []).append(idx)
-    labels = sorted(by_label)
-    if len(labels) < labels_per_client:
+    pool_labels = np.unique(labels).tolist()
+    if len(pool_labels) < labels_per_client:
         raise PartitionError(
-            f"pool holds {len(labels)} distinct labels, request needs {labels_per_client}"
+            f"pool holds {len(pool_labels)} distinct labels, request needs {labels_per_client}"
         )
+    by_label = {lab: np.flatnonzero(labels == lab) for lab in pool_labels}
 
     base, rem = divmod(samples_per_client, labels_per_client)
     assignments = []  # per client: list of (label, take_count)
-    demand = {lab: 0 for lab in labels}
+    demand = {lab: 0 for lab in pool_labels}
     for c in range(n_clients):
         entry = []
         for t in range(labels_per_client):
-            lab = labels[(c * labels_per_client + t) % len(labels)]
+            lab = pool_labels[(c * labels_per_client + t) % len(pool_labels)]
             take = base + (1 if t < rem else 0)
             entry.append((lab, take))
             demand[lab] += take
         assignments.append(entry)
 
-    for lab in labels:
-        if demand[lab] > len(by_label[lab]):
+    for lab in pool_labels:
+        if demand[lab] > by_label[lab].size:
             raise PartitionError(
-                f"label {lab} has {len(by_label[lab])} samples, request needs {demand[lab]}"
+                f"label {lab} has {by_label[lab].size} samples, request needs {demand[lab]}"
             )
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cursors = {lab: 0 for lab in labels}
-    order = {lab: rng.permutation(len(by_label[lab])) for lab in labels}
-
-    n_features = np.asarray(pool[0].features, dtype=float).shape[0]
-    feat = np.stack([np.asarray(s.features, dtype=float) for s in pool])
-    labs = np.array([int(s.label) for s in pool], dtype=np.int64)
+    unused = {lab: by_label[lab][rng.permutation(by_label[lab].size)] for lab in pool_labels}
 
     shards = []
-    for c, entry in enumerate(assignments):
+    for entry in assignments:
         taken = []
         for lab, take in entry:
-            pos = order[lab][cursors[lab] : cursors[lab] + take]
-            cursors[lab] += take
-            taken.extend(by_label[lab][p] for p in pos)
-        taken = np.array(taken, dtype=int)
-        shards.append(ClientShard(client_id=c, features=feat[taken], labels=labs[taken]))
+            taken.append(unused[lab][:take])
+            unused[lab] = unused[lab][take:]
+        taken = np.concatenate(taken)
+        shards.append(ClientShard(features=features[taken], labels=labels[taken]))
     return FederatedDataset(
-        shards=shards, n_features=n_features, n_classes=int(labs.max()) + 1
+        shards=shards, n_features=features.shape[1], n_classes=int(labels.max()) + 1
     )
 
 
@@ -222,6 +211,11 @@ _IDX_LABELS_MAGIC = 0x00000801
 
 
 def _read_exact(fh, count, path):
+    # check first: a header may claim more bytes than memory holds; pipes have no size
+    st = os.fstat(fh.fileno())
+    left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else count
+    if count > left:
+        raise IdxTruncatedError(f"{path}: expected {count} more bytes, got {left}")
     data = fh.read(count)
     if len(data) != count:
         raise IdxTruncatedError(f"{path}: expected {count} more bytes, got {len(data)}")
@@ -229,7 +223,8 @@ def _read_exact(fh, count, path):
 
 
 def load_idx(images_path, labels_path):
-    """Load an IDX image/label file pair into a flat sample list.
+    """Load an IDX image/label file pair as (features (n, rows*cols) float64,
+    labels (n,) int64).
 
     Pixels are scaled to [0, 1]; the image and label counts must agree.
     """
@@ -251,8 +246,7 @@ def load_idx(images_path, labels_path):
         raise IdxCountMismatchError(f"{n_images} images but {n_labels} labels")
 
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n_images, rows * cols) / 255.0
-    labels = np.frombuffer(raw_labels, dtype=np.uint8)
-    return [DataSample(pixels[i], int(labels[i])) for i in range(n_images)]
+    return pixels, np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
 
 
 def dataset_to_csv(dataset, path):
@@ -260,8 +254,8 @@ def dataset_to_csv(dataset, path):
     header = ["client_id", "label"] + [f"f{j}" for j in range(dataset.n_features)]
 
     def rows():
-        for shard in dataset.shards:
+        for client_id, shard in enumerate(dataset.shards):
             for i in range(shard.n_k):
-                yield [shard.client_id, int(shard.labels[i]), *shard.features[i]]
+                yield [client_id, int(shard.labels[i]), *shard.features[i]]
 
     write_csv(path, header, rows())

@@ -45,9 +45,6 @@ class ModelParams:
     def zeros(cls, n_classes, n_features):
         return cls(np.zeros((n_classes, n_features)), np.zeros(n_classes))
 
-    def copy(self):
-        return ModelParams(self.weights.copy(), self.bias.copy())
-
     @property
     def n_classes(self):
         return int(self.weights.shape[0])
@@ -71,7 +68,6 @@ class TrainConfig:
 @dataclass
 class RoundTrace:
     round_index: int
-    sampled_ids: tuple
     loss: float
     job: RoundJob
     energy_j: float
@@ -221,7 +217,6 @@ def run_fedavg(dataset, profile, config):
         traces.append(
             RoundTrace(
                 round_index=r,
-                sampled_ids=tuple(int(i) for i in ids),
                 loss=loss,
                 job=RoundJob(comp=profile.t_comp[ids] * config.e, comm=t_draw, client_ids=ids),
                 energy_j=energy,
@@ -242,7 +237,7 @@ def export_traces(traces, path, strategy):
                 t.loss,
                 round_time(t.job, strategy),
                 t.energy_j,
-                ";".join(str(i) for i in t.sampled_ids),
+                ";".join(str(i) for i in t.job.client_ids.tolist()),
             ]
 
     write_csv(path, ["round", "loss", "round_time_s", "round_energy_J", "sampled_ids"], rows())

@@ -248,13 +248,16 @@ def run_pilots(plan, dataset, profile, batch_size=64, eta0=0.1, seed=0):
     return records
 
 
-def rho_from_pilots(records, n_clients, min_ratio_gap=0.05):
+_MIN_RATIO_GAP = 0.05
+
+
+def rho_from_pilots(records, n_clients):
     """Recover rho from pilot round counts.
 
     For pilots i and j, the ratio r of their E-scaled level-crossing gaps
     E (R_b - R_a) satisfies r = (rho + phi_i E_i^2) / (rho + phi_j E_j^2);
     solving gives one estimate per unordered pair.  Pairs with nearly equal
-    gaps (|1 - r| below min_ratio_gap, where the solve is ill-conditioned)
+    gaps (|1 - r| below _MIN_RATIO_GAP, where the solve is ill-conditioned)
     or a non-positive estimate are discarded; the survivors are averaged.
     """
     scaled = []
@@ -270,7 +273,7 @@ def rho_from_pilots(records, n_clients, min_ratio_gap=0.05):
             if gi <= 0 or gj <= 0:
                 continue
             r = gi / gj
-            if abs(1.0 - r) < min_ratio_gap:
+            if abs(1.0 - r) < _MIN_RATIO_GAP:
                 continue
             rho = (r * xj - xi) / (1.0 - r)
             if rho > 0:
@@ -282,15 +285,14 @@ def rho_from_pilots(records, n_clients, min_ratio_gap=0.05):
     return float(np.mean(estimates))
 
 
-def estimate_rho(plan, dataset, profile, costs, batch_size=64, eta0=0.1, seed=0,
-                 acs_config=None, min_ratio_gap=0.05):
+def estimate_rho(plan, dataset, profile, costs, batch_size=64, eta0=0.1, seed=0):
     """Estimate rho from pilot runs, then optimize (K, E) and report the
     estimation overhead: pilot iterations divided by the optimized run's
     K* E* R*."""
     records = run_pilots(plan, dataset, profile, batch_size=batch_size, eta0=eta0, seed=seed)
-    rho = rho_from_pilots(records, dataset.n_clients, min_ratio_gap=min_ratio_gap)
+    rho = rho_from_pilots(records, dataset.n_clients)
     coeffs = ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients)
-    solution = acs_optimize(costs, coeffs, acs_config)
+    solution = acs_optimize(costs, coeffs)
     spent = sum(r.k * r.e * r.rounds_to_b for r in records)
     overhead = spent / (solution.k_star * solution.e_star * solution.r_star)
     return RhoEstimate(
@@ -311,9 +313,7 @@ def _sign_changes(values):
     return int(np.sum(signs[1:] != signs[:-1])) if signs.size > 1 else 0
 
 
-def verify_properties(costs, coeffs, gammas=(0.0, 0.25, 0.5, 0.75, 1.0),
-                      e_fixed=20.0, k_fixed=5, scale=4.0, e_grid_max=100,
-                      k_checks=(1, 2, 5, 10)):
+def verify_properties(costs, coeffs):
     """Numerically check the qualitative behavior of the continuous optima.
 
     Verified claims: K* is non-increasing in gamma with K*(1) = 1; K* moves
@@ -323,7 +323,9 @@ def verify_properties(costs, coeffs, gammas=(0.0, 0.25, 0.5, 0.75, 1.0),
     e_m/e_p at gamma = 1.  Violations are reported as findings, not raised.
     """
     findings = []
-    k_fixed = min(k_fixed, costs.n_clients)
+    gammas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    scale = 4.0  # factor each cost parameter is moved by
+    k_fixed = min(5, costs.n_clients)  # the K at which E* is solved
 
     def check(name, passed, detail):
         findings.append(PropertyFinding(name=name, passed=bool(passed), detail=detail))
@@ -331,7 +333,7 @@ def verify_properties(costs, coeffs, gammas=(0.0, 0.25, 0.5, 0.75, 1.0),
     def k_at(gamma=None, **overrides):
         c = costs if gamma is None else costs.with_gamma(gamma)
         c = replace(c, **overrides) if overrides else c
-        return solve_k_given_e(e_fixed, c, coeffs)
+        return solve_k_given_e(20.0, c, coeffs)
 
     def e_at(k, gamma=None, **overrides):
         c = costs if gamma is None else costs.with_gamma(gamma)
@@ -370,8 +372,8 @@ def verify_properties(costs, coeffs, gammas=(0.0, 0.25, 0.5, 0.75, 1.0),
         f"base={base0:.4f} scaled={ratio0:.4f}",
     )
 
-    e_values = np.arange(1, e_grid_max + 1, dtype=float)
-    for k in k_checks:
+    e_values = np.arange(1, 101, dtype=float)
+    for k in (1, 2, 5, 10):
         if k > costs.n_clients:
             continue
         vals = p3_objective(float(k), e_values, costs, coeffs)

@@ -1,3 +1,6 @@
+import struct
+
+import numpy as np
 import pytest
 
 from fedcost.datagen import gen_synthetic
@@ -39,3 +42,29 @@ def random_costs(rng, n=None, gamma=None):
         e_m=float(10 ** rng.uniform(-4, -1)),
         gamma=float(rng.uniform(0, 1)) if gamma is None else gamma,
     )
+
+
+def write_idx(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
+              truncate_images=0, label_count=None):
+    """Write an IDX image/label pair into tmp_path; returns the two paths."""
+    n, rows, cols = images.shape
+    img_path = tmp_path / "imgs.idx"
+    lab_path = tmp_path / "labs.idx"
+    blob = struct.pack(">IIII", image_magic, n, rows, cols) + images.astype(np.uint8).tobytes()
+    if truncate_images:
+        blob = blob[:-truncate_images]
+    img_path.write_bytes(blob)
+    lab_path.write_bytes(
+        struct.pack(">II", label_magic, n if label_count is None else label_count)
+        + labels.astype(np.uint8).tobytes()[: (n if label_count is None else label_count)]
+    )
+    return str(img_path), str(lab_path)
+
+
+def write_oversized_idx(tmp_path):
+    """An image header claiming 2^31 images of 2^15 x 2^15 pixels (2^61 bytes),
+    followed by 64 bytes, and a consistent 4-label file."""
+    img_path, lab_path = tmp_path / "huge-imgs.idx", tmp_path / "huge-labs.idx"
+    img_path.write_bytes(struct.pack(">IIII", 0x803, 2**31, 2**15, 2**15) + bytes(64))
+    lab_path.write_bytes(struct.pack(">II", 0x801, 4) + bytes(4))
+    return str(img_path), str(lab_path)

@@ -19,7 +19,7 @@ from fedcost.costmodel import (
     p3_objective,
     sampling_penalty,
 )
-from fedcost.datagen import DataSample, gen_synthetic, partition_by_label
+from fedcost.datagen import gen_synthetic, partition_by_label
 from fedcost.learner import (
     ModelParams,
     TrainConfig,
@@ -376,11 +376,12 @@ def test_criterion_8_scheduler_comparison(desk):
 def test_criterion_9_zero_model_and_gradients(desk):
     dataset, _ = desk
     rng = np.random.default_rng(12)
-    pool = [DataSample(rng.standard_normal(6), int(lab)) for lab in rng.integers(0, 4, 200)]
+    labels = rng.integers(0, 4, 200)
+    features = np.stack([rng.standard_normal(6) for _ in labels])
     datasets = [
         dataset,
         gen_synthetic(0.5, 0.5, 7, 30, 15, seed=3),
-        partition_by_label(pool, n_clients=5, labels_per_client=2,
+        partition_by_label(features, labels, n_clients=5, labels_per_client=2,
                            samples_per_client=20, seed=4),
     ]
     for ds in datasets:

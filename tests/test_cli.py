@@ -1,12 +1,15 @@
 import hashlib
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedcost.cli import main
+from conftest import write_idx, write_oversized_idx
+from fedcost.cli import build_dataset, main
 from fedcost.config import SCHEMA, ConfigError, needs_for_command, parse_config
+from fedcost.datagen import dataset_to_csv
 
 
 BASE = """
@@ -140,6 +143,66 @@ def test_artifacts_match_recorded_digests(tmp_path):
     assert sha256(out, "schedulers.csv") == (
         "9edebfa995d89f94bcfc0b916f39fdba3736aa5c60f300713154a10cbbac5b80"
     )
+
+
+IDX = """
+seed = 3
+gamma = 0.5
+mode = fixed
+dataset.kind = idx
+dataset.images = {images}
+dataset.labels = {labels}
+dataset.n_clients = 10
+dataset.labels_per_client = 2
+dataset.samples_per_client = 40
+train.max_rounds = 15
+control.k = 4
+control.e = 3
+"""
+
+
+def test_idx_run_matches_recorded_digests(tmp_path):
+    # digests recorded when load_idx returned one object per image
+    rng = np.random.default_rng(5)
+    images, labels = write_idx(
+        tmp_path, rng.integers(0, 256, (600, 4, 5)), rng.integers(0, 10, 600)
+    )
+    cfg = write_config(tmp_path, IDX.format(images=images, labels=labels))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    dataset_to_csv(build_dataset(parse_config(cfg)), os.path.join(out, "dataset.csv"))
+    assert sha256(out, "traces.csv") == (
+        "e7e6d3e4994bdc639de2fcc8e21dbf26ac2211589b7d93a9c6cf14df77976289"
+    )
+    assert sha256(out, "dataset.csv") == (
+        "c9070140e3680201d1a170a5fea0bb0f77b9107fc01f0a7b9f55e25517d7e3cd"
+    )
+
+
+def test_run_reports_an_oversized_idx_header_in_one_line(tmp_path, capsys):
+    images, labels = write_oversized_idx(tmp_path)
+    cfg = write_config(tmp_path, IDX.format(images=images, labels=labels))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "huge-imgs.idx" in err[0]
+
+
+@pytest.mark.parametrize("n_clients, size_mean, size_std", [(1, 40, 10), (6, 1, 0)])
+def test_run_single_client_and_single_sample_shards(tmp_path, n_clients, size_mean, size_std):
+    # K = N; size-1 shards take the full-batch path
+    body = (
+        BASE.format(gamma=0.5)
+        .replace("n_clients = 8", f"n_clients = {n_clients}")
+        .replace("size_mean = 40", f"size_mean = {size_mean}")
+        .replace("size_std = 10", f"size_std = {size_std}")
+        + f"mode = fixed\ncontrol.k = {n_clients}\ncontrol.e = 5\n"
+    )
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", write_config(tmp_path, body), "--out", out]) == 0
+    rows = read(out, "traces.csv").splitlines()[1:]
+    assert len(rows) == 40
+    ids = ";".join(str(i) for i in range(n_clients))
+    assert all(row.split(",")[4] == ids for row in rows)
 
 
 def test_scheduler_only_prices_the_rounds(tmp_path):

@@ -1,11 +1,11 @@
-import struct
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import write_idx, write_oversized_idx
 from fedcost.datagen import (
     ClientShard,
-    DataSample,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
@@ -72,17 +72,15 @@ def test_gen_synthetic_rejects_bad_arguments():
 
 
 def _pool(per_label, n_labels, d=4, seed=0):
+    """(features, labels) with `per_label` rows of each of `n_labels` labels."""
     rng = np.random.default_rng(seed)
-    pool = []
-    for lab in range(n_labels):
-        for _ in range(per_label):
-            pool.append(DataSample(rng.standard_normal(d), lab))
-    return pool
+    features = rng.standard_normal((per_label * n_labels, d))
+    return features, np.repeat(np.arange(n_labels), per_label)
 
 
 def test_partition_exact_counts_and_labels():
     pool = _pool(per_label=900, n_labels=10)
-    ds = partition_by_label(pool, n_clients=30, labels_per_client=2, samples_per_client=300, seed=1)
+    ds = partition_by_label(*pool, n_clients=30, labels_per_client=2, samples_per_client=300, seed=1)
     assert ds.n_clients == 30
     for shard in ds.shards:
         assert shard.n_k == 300
@@ -92,7 +90,7 @@ def test_partition_exact_counts_and_labels():
 
 def test_partition_never_reuses_a_sample():
     pool = _pool(per_label=30, n_labels=4)
-    ds = partition_by_label(pool, n_clients=4, labels_per_client=2, samples_per_client=20, seed=2)
+    ds = partition_by_label(*pool, n_clients=4, labels_per_client=2, samples_per_client=20, seed=2)
     seen = set()
     for shard in ds.shards:
         for row in shard.features:
@@ -104,73 +102,100 @@ def test_partition_never_reuses_a_sample():
 def test_partition_single_label_pool_is_infeasible():
     pool = _pool(per_label=50, n_labels=1)
     with pytest.raises(PartitionError):
-        partition_by_label(pool, n_clients=2, labels_per_client=2, samples_per_client=10, seed=0)
+        partition_by_label(*pool, n_clients=2, labels_per_client=2, samples_per_client=10, seed=0)
 
 
 def test_partition_error_names_the_deficient_label():
     pool = _pool(per_label=10, n_labels=2)
     with pytest.raises(PartitionError, match="label 0"):
-        partition_by_label(pool, n_clients=4, labels_per_client=2, samples_per_client=10, seed=0)
+        partition_by_label(*pool, n_clients=4, labels_per_client=2, samples_per_client=10, seed=0)
 
 
 def test_partition_identity_when_one_client_takes_all():
-    pool = _pool(per_label=12, n_labels=3)
-    ds = partition_by_label(pool, n_clients=1, labels_per_client=3, samples_per_client=36, seed=4)
+    features, labels = _pool(per_label=12, n_labels=3)
+    ds = partition_by_label(features, labels, n_clients=1, labels_per_client=3,
+                            samples_per_client=36, seed=4)
     assert ds.n_clients == 1
-    want_rows = {np.asarray(s.features).tobytes() for s in pool}
+    want_rows = {row.tobytes() for row in features}
     have_rows = {row.tobytes() for row in ds.shards[0].features}
     assert have_rows == want_rows
 
 
-def _write_idx(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
-               truncate_images=0, label_count=None):
-    n, rows, cols = images.shape
-    img_path = tmp_path / "imgs.idx"
-    lab_path = tmp_path / "labs.idx"
-    blob = struct.pack(">IIII", image_magic, n, rows, cols) + images.astype(np.uint8).tobytes()
-    if truncate_images:
-        blob = blob[:-truncate_images]
-    img_path.write_bytes(blob)
-    lab_path.write_bytes(
-        struct.pack(">II", label_magic, n if label_count is None else label_count)
-        + labels.astype(np.uint8).tobytes()[: (n if label_count is None else label_count)]
-    )
-    return str(img_path), str(lab_path)
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.one_of(
+        st.lists(st.integers(0, 5), max_size=120),
+        st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 200)).map(
+            lambda t: np.random.default_rng(t[0]).integers(0, t[1], t[2]).tolist()
+        ),
+    ),
+    n_clients=st.integers(1, 6),
+    labels_per_client=st.integers(1, 4),
+    samples_per_client=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partition_properties(labels, n_clients, labels_per_client, samples_per_client, seed):
+    labels = np.array(labels, dtype=np.int64)
+    # column 0 is the pool row index, so every shard row names its source row
+    features = np.stack([np.arange(labels.size), labels], axis=1).astype(float)
+    request = dict(n_clients=n_clients, labels_per_client=labels_per_client,
+                   samples_per_client=samples_per_client, seed=seed)
+    try:
+        ds = partition_by_label(features, labels, **request)
+    except PartitionError:
+        return
+    rows = []
+    for shard in ds.shards:
+        assert shard.n_k == samples_per_client
+        assert np.unique(shard.labels).size == labels_per_client
+        src = shard.features[:, 0].astype(int)
+        np.testing.assert_array_equal(shard.labels, labels[src])
+        rows.extend(src.tolist())
+    assert len(rows) == len(set(rows))
+    again = partition_by_label(features, labels, **request)
+    for a, b in zip(ds.shards, again.shards):
+        assert a.features.tobytes() == b.features.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
 
 
 def test_load_idx_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(10, 3, 2))
     labels = rng.integers(0, 10, size=10)
-    img, lab = _write_idx(tmp_path, images, labels)
-    samples = load_idx(img, lab)
-    assert len(samples) == 10
-    for i, s in enumerate(samples):
-        assert s.label == labels[i]
-        assert s.features.min() >= 0.0 and s.features.max() <= 1.0
-        np.testing.assert_allclose(s.features, images[i].reshape(-1) / 255.0)
+    img, lab = write_idx(tmp_path, images, labels)
+    features, got_labels = load_idx(img, lab)
+    assert features.shape == (10, 6) and features.dtype == np.float64
+    assert got_labels.dtype == np.int64
+    np.testing.assert_array_equal(got_labels, labels)
+    assert features.min() >= 0.0 and features.max() <= 1.0
+    np.testing.assert_allclose(features, images.reshape(10, -1) / 255.0)
 
 
 def test_load_idx_magic_mismatch(tmp_path):
     rng = np.random.default_rng(1)
-    img, lab = _write_idx(tmp_path, rng.integers(0, 256, (4, 2, 2)), rng.integers(0, 3, 4),
-                          image_magic=0x801)
+    img, lab = write_idx(tmp_path, rng.integers(0, 256, (4, 2, 2)), rng.integers(0, 3, 4),
+                         image_magic=0x801)
     with pytest.raises(IdxMagicError):
         load_idx(img, lab)
 
 
 def test_load_idx_truncated(tmp_path):
     rng = np.random.default_rng(2)
-    img, lab = _write_idx(tmp_path, rng.integers(0, 256, (4, 2, 2)), rng.integers(0, 3, 4),
-                          truncate_images=5)
+    img, lab = write_idx(tmp_path, rng.integers(0, 256, (4, 2, 2)), rng.integers(0, 3, 4),
+                         truncate_images=5)
     with pytest.raises(IdxTruncatedError):
         load_idx(img, lab)
 
 
+def test_load_idx_header_claiming_more_than_the_file_holds(tmp_path):
+    with pytest.raises(IdxTruncatedError, match="got 64"):
+        load_idx(*write_oversized_idx(tmp_path))
+
+
 def test_load_idx_count_mismatch(tmp_path):
     rng = np.random.default_rng(3)
-    img, lab = _write_idx(tmp_path, rng.integers(0, 256, (10, 2, 2)), rng.integers(0, 3, 10),
-                          label_count=9)
+    img, lab = write_idx(tmp_path, rng.integers(0, 256, (10, 2, 2)), rng.integers(0, 3, 10),
+                         label_count=9)
     with pytest.raises(IdxCountMismatchError):
         load_idx(img, lab)
 
@@ -188,6 +213,6 @@ def test_dataset_csv_layout(tmp_path, small_dataset):
 
 def test_shard_validation():
     with pytest.raises(ValueError):
-        ClientShard(0, np.zeros((0, 3)), np.zeros(0, dtype=int))
+        ClientShard(np.zeros((0, 3)), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
-        ClientShard(0, np.zeros((2, 3)), np.zeros(3, dtype=int))
+        ClientShard(np.zeros((2, 3)), np.zeros(3, dtype=int))

@@ -22,8 +22,8 @@ def scalar_dataset(counts, values=None):
     """1-feature, 2-class dataset with given shard sizes (for weight math)."""
     shards = []
     rng = np.random.default_rng(0)
-    for cid, n in enumerate(counts):
-        shards.append(ClientShard(cid, rng.standard_normal((n, 1)), rng.integers(0, 2, n)))
+    for n in counts:
+        shards.append(ClientShard(rng.standard_normal((n, 1)), rng.integers(0, 2, n)))
     return FederatedDataset(shards, 1, 2)
 
 
@@ -34,7 +34,7 @@ def test_zero_model_loss_is_log_class_count(small_dataset):
 
 def test_single_client_loss_equals_local_loss():
     rng = np.random.default_rng(1)
-    shard = ClientShard(0, rng.standard_normal((25, 4)), rng.integers(0, 3, 25))
+    shard = ClientShard(rng.standard_normal((25, 4)), rng.integers(0, 3, 25))
     ds = FederatedDataset([shard], 4, 3)
     m = ModelParams(rng.standard_normal((3, 4)), rng.standard_normal(3))
     assert global_loss(m, ds) == pytest.approx(
@@ -44,8 +44,8 @@ def test_single_client_loss_equals_local_loss():
 
 def test_equal_clients_average_their_losses():
     rng = np.random.default_rng(2)
-    a = ClientShard(0, rng.standard_normal((10, 4)), rng.integers(0, 3, 10))
-    b = ClientShard(1, rng.standard_normal((10, 4)), rng.integers(0, 3, 10))
+    a = ClientShard(rng.standard_normal((10, 4)), rng.integers(0, 3, 10))
+    b = ClientShard(rng.standard_normal((10, 4)), rng.integers(0, 3, 10))
     ds = FederatedDataset([a, b], 4, 3)
     m = ModelParams(rng.standard_normal((3, 4)), rng.standard_normal(3))
     la = mean_cross_entropy(m, a.features, a.labels)
@@ -69,7 +69,7 @@ def test_local_sgd_hand_gradient_step():
     # zero model, two classes, one sample x = e1 with label 0, lr = 0.1:
     # softmax is (0.5, 0.5), so row 0 gains +0.05 on the first coordinate
     # and row 1 loses 0.05.
-    shard = ClientShard(0, np.eye(1, 4), np.array([0]))
+    shard = ClientShard(np.eye(1, 4), np.array([0]))
     out = local_sgd(ModelParams.zeros(2, 4), shard, 1, 0.1, 8, np.random.default_rng(0))
     np.testing.assert_allclose(out.weights[0], [0.05, 0, 0, 0], atol=1e-15)
     np.testing.assert_allclose(out.weights[1], [-0.05, 0, 0, 0], atol=1e-15)
@@ -177,13 +177,13 @@ def test_fedavg_zero_rate_keeps_loss_at_log_c(desk_dataset, desk_profile):
 def test_fedavg_full_participation_samples_everyone(desk_dataset, desk_profile):
     _, traces = run_fedavg(desk_dataset, desk_profile, desk_config(k=20, max_rounds=3))
     for t in traces:
-        assert t.sampled_ids == tuple(range(20))
+        assert t.job.client_ids.tolist() == list(range(20))
 
 
 def test_fedavg_traces_are_deterministic(desk_dataset, desk_profile):
     def key(x):
         job = x.job
-        return (x.loss, x.energy_j, x.sampled_ids,
+        return (x.loss, x.energy_j,
                 job.comp.tobytes(), job.comm.tobytes(), job.client_ids.tobytes())
 
     _, t1 = run_fedavg(desk_dataset, desk_profile, desk_config(max_rounds=6))
@@ -201,7 +201,7 @@ def test_fedavg_smoothed_loss_decreases(desk_dataset, desk_profile):
 def test_fedavg_sampling_is_without_replacement(desk_dataset, desk_profile):
     _, traces = run_fedavg(desk_dataset, desk_profile, desk_config(max_rounds=10))
     for t in traces:
-        assert len(set(t.sampled_ids)) == 10
+        assert len(set(t.job.client_ids.tolist())) == 10
 
 
 def test_fedavg_target_loss_stops_early(desk_dataset, desk_profile):
@@ -216,7 +216,7 @@ def test_fedavg_matches_centralized_gd_on_identical_shards():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((30, 8))
     y = rng.integers(0, 3, 30)
-    ds = FederatedDataset([ClientShard(i, x.copy(), y.copy()) for i in range(6)], 8, 3)
+    ds = FederatedDataset([ClientShard(x.copy(), y.copy()) for _ in range(6)], 8, 3)
     profile = sample_profile(6, 0.5, 0.1, 0.01, 0.2, 0.02, 0.0, seed=4)
     for k in (1, 3, 6):
         model, _ = run_fedavg(
@@ -246,9 +246,7 @@ def test_fedavg_round_costs_use_chosen_strategy(desk_dataset, desk_profile):
     cfg = desk_config(max_rounds=8)
     _, traces = run_fedavg(desk_dataset, desk_profile, cfg)
     for t in traces:
-        ids = np.array(t.sampled_ids)
-        np.testing.assert_array_equal(t.job.client_ids, ids)
-        np.testing.assert_array_equal(t.job.comp, desk_profile.t_comp[ids] * cfg.e)
+        np.testing.assert_array_equal(t.job.comp, desk_profile.t_comp[t.job.client_ids] * cfg.e)
         opt = round_time(t.job, Strategy.OPTIMAL_TS)
         assert opt <= round_time(t.job, Strategy.WAIT_ALL_TS) + 1e-12
         assert opt <= round_time(t.job, Strategy.STATIC_FS) + 1e-12
