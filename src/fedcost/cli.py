@@ -230,6 +230,26 @@ _COMMANDS = {
 }
 
 
+def _missing_dirs(path):
+    """`path` and those of its parents that do not exist yet, deepest first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def _remove_empty(dirs):
+    """Remove the directories a failed command created, deepest first, while
+    they are empty; one that holds a file stays, with its parents."""
+    for path in dirs:
+        try:
+            os.rmdir(path)
+        except OSError:
+            return
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="fedcost",
@@ -243,6 +263,7 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
 
+    created = []
     try:
         config = parse_config(args.config)
         if args.seed is not None:
@@ -253,9 +274,11 @@ def main(argv=None):
         if problems:
             raise ConfigError(problems)
         out_dir = config.out
+        created = _missing_dirs(out_dir)
         os.makedirs(out_dir, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
+        _remove_empty(created)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

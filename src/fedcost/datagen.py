@@ -12,7 +12,7 @@ labeling model, so the data are i.i.d. up to input noise.
 import os
 import stat
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,11 +66,21 @@ class ClientShard:
 
 @dataclass
 class FederatedDataset:
-    """Client shards plus the task dimensions (feature dim, class count)."""
+    """Client shards plus the task dimensions (feature dim, class count).
+
+    Every shard is a view into one packed copy of the federation's rows:
+    `features` (n, d) and `labels` (n,), with shard k at rows
+    offsets[k]:offsets[k] + sizes[k].  The builders in this module write the
+    rows packed; shards given as independent arrays are packed once here.
+    """
 
     shards: list
     n_features: int
     n_classes: int
+    features: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    sizes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.shards:
@@ -78,8 +88,16 @@ class FederatedDataset:
         for shard in self.shards:
             if shard.features.shape[1] != self.n_features:
                 raise ValueError("shard feature dimension does not match dataset")
-            if shard.labels.max(initial=0) >= self.n_classes:
-                raise ValueError("shard label exceeds the configured class count")
+        self.sizes = np.array([s.n_k for s in self.shards])
+        self.offsets = np.cumsum(self.sizes) - self.sizes
+        self.features = _packed_base([s.features for s in self.shards], self.offsets)
+        self.labels = _packed_base([s.labels for s in self.shards], self.offsets)
+        if self.features is None or self.labels is None:
+            self.features = np.concatenate([s.features for s in self.shards])
+            self.labels = np.concatenate([s.labels for s in self.shards])
+            self.shards = _views(self.features, self.labels, self.sizes)
+        if self.labels.max() >= self.n_classes:
+            raise ValueError("shard label exceeds the configured class count")
 
     @property
     def n_clients(self):
@@ -87,13 +105,41 @@ class FederatedDataset:
 
     @property
     def n(self):
-        return sum(s.n_k for s in self.shards)
+        return int(self.features.shape[0])
 
     @property
     def weights(self):
         """Per-client aggregation weights p_k = n_k / n."""
-        counts = np.array([s.n_k for s in self.shards], dtype=float)
+        counts = self.sizes.astype(float)
         return counts / counts.sum()
+
+
+def _packed_base(arrays, offsets):
+    """The one array whose consecutive row blocks at `offsets` the given
+    arrays are, or None if they are not such views."""
+    base = arrays[0].base
+    if (
+        base is None
+        or not base.flags.c_contiguous
+        or base.shape[0] != offsets[-1] + arrays[-1].shape[0]
+    ):
+        return None
+    start, stride = base.ctypes.data, base.strides[0]
+    for a, offset in zip(arrays, offsets.tolist()):
+        if a.base is not base or a.shape[1:] != base.shape[1:]:
+            return None
+        if a.ctypes.data != start + offset * stride:
+            return None
+    return base
+
+
+def _views(features, labels, sizes):
+    """Shards over consecutive row blocks of packed features and labels."""
+    stops = np.cumsum(sizes).tolist()
+    return [
+        ClientShard(features[stop - n_k:stop], labels[stop - n_k:stop])
+        for stop, n_k in zip(stops, sizes.tolist())
+    ]
 
 
 def _shard_sizes(rng, n_clients, size_mean, size_std):
@@ -130,24 +176,26 @@ def gen_synthetic(alpha, beta, n_clients, size_mean, size_std, seed, n_features=
     sizes = _shard_sizes(np.random.default_rng(streams[0]), n_clients, size_mean, size_std)
     cov_scale = np.sqrt(np.arange(1, n_features + 1, dtype=float) ** -1.2)
 
-    shards = []
-    for k in range(n_clients):
+    features = np.empty((int(sizes.sum()), n_features))
+    labels = np.zeros(features.shape[0], dtype=np.int64)
+    shards = _views(features, labels, sizes)
+    for k, shard in enumerate(shards):
         rng = np.random.default_rng(streams[k + 1])
         u = np.sqrt(alpha) * rng.standard_normal()
         weight = u + np.sqrt(alpha) * rng.standard_normal((n_classes, n_features))
         bias = u + np.sqrt(alpha) * rng.standard_normal(n_classes)
         b_off = np.sqrt(beta) * rng.standard_normal()
         v = b_off + np.sqrt(beta) * rng.standard_normal(n_features)
-        x = v + rng.standard_normal((int(sizes[k]), n_features)) * cov_scale
-        labels = np.argmax(x @ weight.T + bias, axis=1)
-        shards.append(ClientShard(features=x, labels=labels))
+        shard.features[:] = v + rng.standard_normal(shard.features.shape) * cov_scale
+        shard.labels[:] = np.argmax(shard.features @ weight.T + bias, axis=1)
     return FederatedDataset(shards=shards, n_features=n_features, n_classes=n_classes)
 
 
 def partition_by_label(features, labels, n_clients, labels_per_client, samples_per_client, seed):
     """Partition a pool, given as (n, d) features and (n,) labels, into shards
     of exactly `labels_per_client` distinct labels and `samples_per_client`
-    samples each.
+    samples each.  uint8 features are pixels, as load_idx returns them: only
+    the taken rows are scaled to [0, 1].
 
     Labels are assigned to clients in a cyclic block pattern; the per-label
     quota is balanced (samples_per_client split as evenly as the label count
@@ -193,16 +241,19 @@ def partition_by_label(features, labels, n_clients, labels_per_client, samples_p
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     unused = {lab: by_label[lab][rng.permutation(by_label[lab].size)] for lab in pool_labels}
 
-    shards = []
+    taken = []
     for entry in assignments:
-        taken = []
         for lab, take in entry:
             taken.append(unused[lab][:take])
             unused[lab] = unused[lab][take:]
-        taken = np.concatenate(taken)
-        shards.append(ClientShard(features=features[taken], labels=labels[taken]))
+    taken = np.concatenate(taken)
+    packed = features[taken]
+    packed = packed / 255.0 if packed.dtype == np.uint8 else packed.astype(float, copy=False)
     return FederatedDataset(
-        shards=shards, n_features=features.shape[1], n_classes=int(labels.max()) + 1
+        shards=_views(packed, labels[taken].astype(np.int64, copy=False),
+                      np.full(n_clients, samples_per_client)),
+        n_features=features.shape[1],
+        n_classes=int(labels.max()) + 1,
     )
 
 
@@ -223,10 +274,11 @@ def _read_exact(fh, count, path):
 
 
 def load_idx(images_path, labels_path):
-    """Load an IDX image/label file pair as (features (n, rows*cols) float64,
+    """Load an IDX image/label file pair as (pixels (n, rows*cols) uint8,
     labels (n,) int64).
 
-    Pixels are scaled to [0, 1]; the image and label counts must agree.
+    The pixels stay raw bytes, so partition_by_label scales only the rows it
+    takes; the image and label counts must agree.
     """
     with open(images_path, "rb") as fh:
         magic, n_images, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path))
@@ -245,7 +297,7 @@ def load_idx(images_path, labels_path):
     if n_images != n_labels:
         raise IdxCountMismatchError(f"{n_images} images but {n_labels} labels")
 
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n_images, rows * cols) / 255.0
+    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n_images, rows * cols)
     return pixels, np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
 
 

@@ -1,9 +1,12 @@
 """Multinomial logistic regression and the federated-averaging training engine.
 
 One training round: sample K of the N clients uniformly without replacement,
-run E local SGD steps on each in parallel with a per-round decayed learning
-rate, aggregate the returned models weighted by shard size, then draw the
-round's communication costs.  Each trace keeps the round's job (computation
+run E local SGD steps on each with a per-round decayed learning rate,
+aggregate the returned models weighted by shard size, then draw the round's
+communication costs.  The sampled clients are stepped together, in stacked
+numpy calls over the dataset's packed rows, with the same float operations
+per client as local_sgd, so a round's result is bit-identical to a loop of
+local_sgd calls.  Each trace keeps the round's job (computation
 and upload seconds per sampled client) and its energy; the uplink strategy
 only prices the job, via scheduler.round_time, so one trajectory serves
 every strategy.
@@ -38,7 +41,7 @@ class ModelParams:
         self.bias = np.asarray(self.bias, dtype=float)
         if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
             raise ValueError("weights must be (C, d) with a length-C bias")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("model parameters must be finite")
 
     @classmethod
@@ -73,34 +76,76 @@ class RoundTrace:
     energy_j: float
 
 
-def _log_softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+def _row_max(a):
+    """Row maxima of an (n, C) array, kept as (n, 1).
+
+    Taken column by column: a maximum is exact in any order, and over the
+    federation's rows numpy's reduce of a short last axis, which runs one row
+    at a time, is several times slower."""
+    top = a[:, :1].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(top, a[:, j:j + 1], out=top)
+    return top
+
+
+def _log_likelihoods(logits, labels):
+    """Each row's log-softmax at its label; logits (n, C) is overwritten."""
+    logits -= _row_max(logits)
+    picked = logits[np.arange(labels.shape[0]), labels]
+    np.exp(logits, out=logits)
+    return picked - np.log(np.add.reduce(logits, axis=1))
+
+
+def _hot(labels, n_classes):
+    """Flat positions of each row's label entry in a (..., C) array whose
+    rows follow `labels`."""
+    return np.arange(labels.size) * n_classes + labels.ravel()
+
+
+def _residuals(logits, hot, count):
+    """Overwrite logits (..., C) with (softmax - one_hot) / count, the per-row
+    factor of the mean cross-entropy gradient, and return it; `hot` holds the
+    flat positions of the one-hot entries."""
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
+    logits.reshape(-1)[hot] -= 1.0
+    logits /= count
+    return logits
 
 
 def mean_cross_entropy(model, features, labels):
     """Mean cross-entropy of the model over a batch."""
-    logp = _log_softmax(features @ model.weights.T + model.bias)
-    return float(-logp[np.arange(labels.shape[0]), labels].mean())
+    ll = _log_likelihoods(features @ model.weights.T + model.bias, labels)
+    return float(-ll.sum() / labels.shape[0])
 
 
 def ce_gradient(model, features, labels):
     """Mean cross-entropy gradient over a batch: (grad_weights, grad_bias)."""
-    logits = features @ model.weights.T + model.bias
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    p = z / z.sum(axis=1, keepdims=True)
-    p[np.arange(labels.shape[0]), labels] -= 1.0
-    p /= labels.shape[0]
+    p = _residuals(
+        features @ model.weights.T + model.bias, _hot(labels, model.n_classes), labels.shape[0]
+    )
     return p.T @ features, p.sum(axis=0)
 
 
 def global_loss(model, dataset):
-    """Shard-size-weighted mean cross-entropy over the whole federation."""
+    """Shard-size-weighted mean cross-entropy over the whole federation.
+
+    Each shard's logits come from its own product (one product over all rows
+    rounds some rows differently), and each shard's mean is summed on its
+    own, in shard order, as a loop of mean_cross_entropy would."""
     if model.n_features != dataset.n_features or model.n_classes != dataset.n_classes:
         raise ValueError("model dimensions do not match the dataset")
+    logits = np.empty((dataset.n, dataset.n_classes))
+    w_t = model.weights.T
+    spans = list(zip(dataset.offsets.tolist(), dataset.sizes.tolist()))
+    for shard, (start, n_k) in zip(dataset.shards, spans):
+        np.matmul(shard.features, w_t, out=logits[start:start + n_k])
+    logits += model.bias
+    ll = _log_likelihoods(logits, dataset.labels)
     total = 0.0
-    for shard in dataset.shards:
-        total += shard.n_k * mean_cross_entropy(model, shard.features, shard.labels)
+    for start, n_k in spans:
+        total += n_k * float(-np.add.reduce(ll[start:start + n_k]) / n_k)
     return total / dataset.n
 
 
@@ -177,6 +222,95 @@ _SAMPLING_DOMAIN = 0
 _COMM_DOMAIN = 1
 _SGD_DOMAIN = 2
 
+# Clients stepped together in one stacked call.  It bounds a round's working
+# set (stepping all K at once raised peak memory by 4-6%); not a setting.
+_GROUP = 8
+# Local steps whose minibatch indices a client draws in one call.
+_DRAW_CHUNK = 8
+
+
+def _local_models(model, dataset, ids, steps, lr, batch_size, seed, round_index):
+    """Every sampled client's local_sgd result, with the clients stepped
+    together: weights (K, C, d) and biases (K, C), in the order of `ids`.
+
+    Each client's floats are those of local_sgd on its (seed, round, client)
+    substream: every stacked product holds one client's rows in its own
+    slice, and the element-wise steps are local_sgd's."""
+    w = np.empty((ids.size,) + model.weights.shape)
+    b = np.empty((ids.size,) + model.bias.shape)
+    full = dataset.sizes[ids] <= batch_size
+    for is_full in (True, False):
+        positions = np.flatnonzero(full == is_full)
+        for start in range(0, positions.size, _GROUP):
+            group = positions[start:start + _GROUP]
+            gw = np.repeat(model.weights[None], group.size, axis=0)
+            gb = np.repeat(model.bias[None], group.size, axis=0)
+            if is_full:
+                _full_batch_steps(gw, gb, dataset, ids[group], steps, lr)
+            else:
+                rngs = [_substream(seed, _SGD_DOMAIN, round_index, cid)
+                        for cid in ids[group].tolist()]
+                _minibatch_steps(gw, gb, dataset, ids[group], steps, lr, batch_size, rngs)
+            w[group], b[group] = gw, gb
+    return w, b
+
+
+def _minibatch_steps(w, b, dataset, ids, steps, lr, batch_size, rngs):
+    """local_sgd's minibatch steps for clients with more than batch_size rows,
+    updating their stacked weights (m, C, d) and biases (m, C) in place."""
+    offsets = dataset.offsets[ids][:, None]
+    sizes = dataset.sizes[ids].tolist()
+    x = np.empty((ids.size, batch_size, w.shape[2]))
+    logits = np.empty((ids.size, batch_size, w.shape[1]))
+    gw = np.empty_like(w)
+    w_t, b_row, p_t = w.transpose(0, 2, 1), b[:, None, :], logits.transpose(0, 2, 1)
+    row_starts = np.arange(ids.size * batch_size) * w.shape[1]
+    for done in range(0, steps, _DRAW_CHUNK):
+        chunk = min(_DRAW_CHUNK, steps - done)
+        # one (chunk, B) draw gives a client the indices of chunk B-sized draws
+        rows = np.stack(
+            [rng.integers(0, n_k, size=(chunk, batch_size)) for rng, n_k in zip(rngs, sizes)],
+            axis=1,
+        ) + offsets
+        hots = dataset.labels[rows].reshape(chunk, -1) + row_starts
+        for step_rows, hot in zip(rows, hots):
+            # rows are in range by construction; the default mode="raise"
+            # would gather through a temporary as large as x
+            np.take(dataset.features, step_rows, axis=0, out=x, mode="clip")
+            np.matmul(x, w_t, out=logits)
+            logits += b_row
+            _residuals(logits, hot, batch_size)
+            np.matmul(p_t, x, out=gw)
+            w -= lr * gw
+            b -= lr * np.add.reduce(logits, axis=1)
+
+
+def _full_batch_steps(w, b, dataset, ids, steps, lr):
+    """local_sgd's full-batch steps for clients with at most batch_size rows,
+    updating their stacked weights (m, C, d) and biases (m, C) in place.
+
+    Shards differ in size, so each client's products stay its own (padding
+    them to one shape would change the products' rounding); the softmax runs
+    once over all their rows."""
+    sizes = dataset.sizes[ids]
+    features = [dataset.shards[cid].features for cid in ids.tolist()]
+    logits = np.empty((sizes.sum(), w.shape[1]))
+    stops = np.cumsum(sizes).tolist()
+    spans = [logits[stop - n_k:stop] for stop, n_k in zip(stops, sizes.tolist())]
+    hot = _hot(np.concatenate([dataset.shards[cid].labels for cid in ids.tolist()]), w.shape[1])
+    counts = np.repeat(sizes, sizes)[:, None]
+    gw, gb = np.empty_like(w), np.empty_like(b)
+    for _ in range(steps):
+        for j, (x, p) in enumerate(zip(features, spans)):
+            np.matmul(x, w[j].T, out=p)
+        logits += np.repeat(b, sizes, axis=0)
+        _residuals(logits, hot, counts)
+        for j, (x, p) in enumerate(zip(features, spans)):
+            np.matmul(p.T, x, out=gw[j])
+            np.add.reduce(p, axis=0, out=gb[j])
+        w -= lr * gw
+        b -= lr * gb
+
 
 def run_fedavg(dataset, profile, config):
     """Federated averaging with per-round cost accounting.
@@ -200,13 +334,10 @@ def run_fedavg(dataset, profile, config):
     for r in range(config.max_rounds):
         ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
         lr = config.eta0 / (1.0 + r)
-        updates = []
-        for cid in ids:
-            rng = _substream(config.seed, _SGD_DOMAIN, r, int(cid))
-            updates.append(
-                (int(cid), local_sgd(model, dataset.shards[cid], config.e, lr, config.batch_size, rng))
-            )
-        model = aggregate(updates, dataset)
+        w, b = _local_models(model, dataset, ids, config.e, lr, config.batch_size, config.seed, r)
+        model = aggregate(
+            [(cid, ModelParams(w[j], b[j])) for j, cid in enumerate(ids.tolist())], dataset
+        )
         loss = global_loss(model, dataset)
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite global loss at round {r}")

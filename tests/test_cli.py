@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,43 @@ def test_run_reports_an_oversized_idx_header_in_one_line(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "huge-imgs.idx" in err[0]
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path):
+    images, labels = write_oversized_idx(tmp_path)
+    cfg = write_config(tmp_path, IDX.format(images=images, labels=labels))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not os.path.exists(tmp_path / "out")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "new" / "out")]) == 1
+    assert not os.path.exists(tmp_path / "new")
+
+
+def test_failed_run_keeps_an_existing_output_directory(tmp_path):
+    images, labels = write_oversized_idx(tmp_path)
+    cfg = write_config(tmp_path, IDX.format(images=images, labels=labels))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert out.is_dir()
+
+
+def test_idx_dataset_build_peaks_near_the_raw_pixel_bytes(tmp_path):
+    # 20,000 14x14 images, of which the partition keeps 400 rows: scaling
+    # every pixel to float64 before the partition would peak at 9x the file
+    rng = np.random.default_rng(6)
+    images, labels = write_idx(
+        tmp_path, rng.integers(0, 256, (20000, 14, 14), dtype=np.uint8),
+        rng.integers(0, 10, 20000),
+    )
+    config = parse_config(write_config(tmp_path, IDX.format(images=images, labels=labels)))
+    tracemalloc.start()
+    try:
+        dataset = build_dataset(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dataset.n == 400
+    assert peak < 2 * 20000 * 14 * 14
 
 
 @pytest.mark.parametrize("n_clients, size_mean, size_std", [(1, 40, 10), (6, 1, 0)])

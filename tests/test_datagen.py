@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import write_idx, write_oversized_idx
 from fedcost.datagen import (
     ClientShard,
+    FederatedDataset,
     IdxCountMismatchError,
     IdxMagicError,
     IdxTruncatedError,
@@ -158,17 +159,41 @@ def test_partition_properties(labels, n_clients, labels_per_client, samples_per_
         assert a.labels.tobytes() == b.labels.tobytes()
 
 
+def _independent_shards():
+    rng = np.random.default_rng(8)
+    shards = [ClientShard(rng.standard_normal((n, 3)), rng.integers(0, 2, n)) for n in (4, 1, 9)]
+    return FederatedDataset(shards, 3, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_synthetic(1.0, 1.0, 7, 30, 20, seed=3),
+    lambda: partition_by_label(*_pool(per_label=20, n_labels=4), n_clients=5,
+                               labels_per_client=2, samples_per_client=12, seed=1),
+    _independent_shards,
+], ids=["gen_synthetic", "partition_by_label", "independent_arrays"])
+def test_shards_are_views_into_the_packed_rows(build):
+    ds = build()
+    assert ds.offsets[0] == 0
+    np.testing.assert_array_equal(ds.offsets[1:], ds.offsets[:-1] + ds.sizes[:-1])
+    assert ds.sizes.sum() == ds.n == ds.features.shape[0] == ds.labels.shape[0]
+    for shard, start, n_k in zip(ds.shards, ds.offsets.tolist(), ds.sizes.tolist()):
+        assert shard.n_k == n_k
+        assert np.shares_memory(shard.features, ds.features[start:start + n_k])
+        assert np.shares_memory(shard.labels, ds.labels[start:start + n_k])
+        np.testing.assert_array_equal(shard.features, ds.features[start:start + n_k])
+        np.testing.assert_array_equal(shard.labels, ds.labels[start:start + n_k])
+
+
 def test_load_idx_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(10, 3, 2))
     labels = rng.integers(0, 10, size=10)
     img, lab = write_idx(tmp_path, images, labels)
     features, got_labels = load_idx(img, lab)
-    assert features.shape == (10, 6) and features.dtype == np.float64
+    assert features.shape == (10, 6) and features.dtype == np.uint8
     assert got_labels.dtype == np.int64
     np.testing.assert_array_equal(got_labels, labels)
-    assert features.min() >= 0.0 and features.max() <= 1.0
-    np.testing.assert_allclose(features, images.reshape(10, -1) / 255.0)
+    np.testing.assert_array_equal(features, images.reshape(10, -1))
 
 
 def test_load_idx_magic_mismatch(tmp_path):

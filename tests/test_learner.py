@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedcost.datagen import ClientShard, FederatedDataset
 from fedcost.learner import (
@@ -15,7 +17,7 @@ from fedcost.learner import (
     sub_seed,
 )
 from fedcost.scheduler import Strategy, round_time
-from fedcost.system import sample_profile
+from fedcost.system import draw_round_costs, sample_profile
 
 
 def scalar_dataset(counts, values=None):
@@ -151,6 +153,20 @@ def test_aggregate_is_order_invariant():
     np.testing.assert_array_equal(a.bias, b.bias)
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_aggregate_does_not_depend_on_input_order(data):
+    sizes = data.draw(st.lists(st.integers(1, 50), min_size=1, max_size=10), label="sizes")
+    ds = scalar_dataset(sizes)
+    ids = data.draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, unique=True), label="ids")
+    pair = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(np.array)
+    updates = [(cid, ModelParams(data.draw(pair).reshape(2, 1), data.draw(pair))) for cid in ids]
+    a = aggregate(updates, ds)
+    b = aggregate(data.draw(st.permutations(updates), label="order"), ds)
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.bias.tobytes() == b.bias.tobytes()
+
+
 def test_aggregate_rejects_bad_updates():
     ds = scalar_dataset([2, 2])
     m = ModelParams(np.zeros((2, 1)), np.zeros(2))
@@ -278,3 +294,87 @@ def test_sub_seed_matches_the_inline_derivations_it_replaced():
     for seed in (0, 7, 2**40 + 3):
         for key in keys:
             assert sub_seed(seed, *key) == inline(seed, key)
+
+
+def per_client_fedavg(dataset, profile, config):
+    """run_fedavg as a loop of per-client local_sgd calls, built from the
+    public pieces: the reference the stacked round engine must equal."""
+    def stream(*key):
+        return np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=key))
+
+    model = ModelParams.zeros(dataset.n_classes, dataset.n_features)
+    sampling = stream(0)
+    rounds = []
+    for r in range(config.max_rounds):
+        ids = np.sort(sampling.choice(dataset.n_clients, size=config.k, replace=False))
+        lr = config.eta0 / (1.0 + r)
+        updates = [
+            (int(cid), local_sgd(model, dataset.shards[cid], config.e, lr, config.batch_size,
+                                 stream(2, r, int(cid))))
+            for cid in ids
+        ]
+        model = aggregate(updates, dataset)
+        loss = 0.0
+        for shard in dataset.shards:
+            loss += shard.n_k * mean_cross_entropy(model, shard.features, shard.labels)
+        loss /= dataset.n
+        t_draw, e_draw = draw_round_costs(profile, ids, stream(1, r))
+        energy = float(np.sum(profile.e_comp[ids] * config.e + e_draw))
+        rounds.append((loss, profile.t_comp[ids] * config.e, t_draw, ids, energy))
+    return model, rounds
+
+
+def assert_engine_equals_per_client_loop(dataset, config):
+    profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
+    model, traces = run_fedavg(dataset, profile, config)
+    want_model, want = per_client_fedavg(dataset, profile, config)
+    assert len(traces) == len(want)
+    for t, (loss, comp, comm, ids, energy) in zip(traces, want):
+        assert t.loss == loss
+        assert np.array_equal(t.job.comp, comp) and np.array_equal(t.job.comm, comm)
+        assert np.array_equal(t.job.client_ids, ids)
+        assert t.energy_j == energy
+    assert np.array_equal(model.weights, want_model.weights)
+    assert np.array_equal(model.bias, want_model.bias)
+
+
+def mixed_dataset(sizes, n_features, n_classes, seed):
+    rng = np.random.default_rng(seed)
+    shards = [
+        ClientShard(rng.standard_normal((n, n_features)), rng.integers(0, n_classes, n))
+        for n in sizes
+    ]
+    return FederatedDataset(shards, n_features, n_classes)
+
+
+# batch size 8: shards of 1, B-1, B, B+1 and many B rows; the first five take
+# local_sgd's full-batch path, the rest draw minibatches
+MIXED_SIZES = [1, 7, 8, 9, 64, 3, 8, 12, 1, 25, 9, 40]
+
+
+@pytest.mark.parametrize("e", [1, 8, 9, 70])
+@pytest.mark.parametrize("k", [1, 10, 12])
+def test_round_engine_equals_per_client_local_sgd(k, e):
+    dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
+    config = TrainConfig(k=k, e=e, batch_size=8, eta0=0.5, max_rounds=3, seed=3)
+    assert_engine_equals_per_client_loop(dataset, config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=14),
+    n_features=st.integers(1, 6),
+    n_classes=st.integers(2, 5),
+    batch_size=st.integers(1, 12),
+    e=st.integers(1, 12),
+    rounds=st.integers(1, 2),
+    data=st.data(),
+)
+def test_round_engine_equals_per_client_local_sgd_on_random_shapes(
+    sizes, n_features, n_classes, batch_size, e, rounds, data
+):
+    k = data.draw(st.integers(1, len(sizes)), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    dataset = mixed_dataset(sizes, n_features, n_classes, seed)
+    config = TrainConfig(k=k, e=e, batch_size=batch_size, eta0=0.3, max_rounds=rounds, seed=seed)
+    assert_engine_equals_per_client_loop(dataset, config)
