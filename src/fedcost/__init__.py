@@ -9,7 +9,6 @@ precision constraint.
 
 from .costmodel import (
     ConvergenceCoeffs,
-    CostReport,
     convergence_bound,
     expected_energy,
     expected_time_approx,
@@ -56,7 +55,6 @@ from .system import (
     averaged_costs,
     draw_round_costs,
     sample_profile,
-    shannon_comm_time,
 )
 
 __version__ = "0.1.0"

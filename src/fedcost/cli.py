@@ -11,6 +11,7 @@ times are simulated, never host wall-clock.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import costmodel, datagen, learner, optimizer, system
 from .config import ConfigError, needs_for_command, parse_config
@@ -28,19 +29,19 @@ def build_dataset(config):
     kind = config.require("dataset.kind")
     if kind == "synthetic":
         return datagen.gen_synthetic(
-            alpha=config.get("dataset.alpha", 1.0),
-            beta=config.get("dataset.beta", 1.0),
+            alpha=config.get("dataset.alpha"),
+            beta=config.get("dataset.beta"),
             n_clients=config.require("dataset.n_clients"),
-            size_mean=config.get("dataset.size_mean", 100.0),
-            size_std=config.get("dataset.size_std", 50.0),
+            size_mean=config.get("dataset.size_mean"),
+            size_std=config.get("dataset.size_std"),
             seed=seed,
-            n_features=config.get("dataset.dim", 60),
-            n_classes=config.get("dataset.classes", 10),
+            n_features=config.get("dataset.dim"),
+            n_classes=config.get("dataset.classes"),
         )
     return datagen.partition_by_label(
         *datagen.load_idx(config.require("dataset.images"), config.require("dataset.labels")),
         n_clients=config.require("dataset.n_clients"),
-        labels_per_client=config.get("dataset.labels_per_client", 2),
+        labels_per_client=config.get("dataset.labels_per_client"),
         samples_per_client=config.require("dataset.samples_per_client"),
         seed=seed,
     )
@@ -57,14 +58,14 @@ def build_profile(config, n_clients):
         return profile
     return system.sample_profile(
         n_clients=n_clients,
-        t_p_mean=config.get("system.t_p_mean", 0.5),
-        t_p_std=config.get("system.t_p_std", 0.15),
-        e_p_mean=config.get("system.e_p_mean", 0.01),
-        t_m_mean=config.get("system.t_m_mean", 0.2),
-        e_m_mean=config.get("system.e_m_mean", 0.02),
-        jitter=config.get("system.jitter", 0.1),
+        t_p_mean=config.get("system.t_p_mean"),
+        t_p_std=config.get("system.t_p_std"),
+        e_p_mean=config.get("system.e_p_mean"),
+        t_m_mean=config.get("system.t_m_mean"),
+        e_m_mean=config.get("system.e_m_mean"),
+        jitter=config.get("system.jitter"),
         seed=sub_seed(config.seed, *_PROFILE_KEY),
-        comm_spread=config.get("system.comm_spread", 0.2),
+        comm_spread=config.get("system.comm_spread"),
     )
 
 
@@ -72,9 +73,9 @@ def build_train_config(config, k, e):
     return TrainConfig(
         k=k,
         e=e,
-        batch_size=config.get("train.batch_size", 64),
-        eta0=config.get("train.eta0", 0.1),
-        max_rounds=config.get("train.max_rounds", 300),
+        batch_size=config.get("train.batch_size"),
+        eta0=config.get("train.eta0"),
+        max_rounds=config.get("train.max_rounds"),
         target_loss=config.get("train.target_loss"),
         seed=sub_seed(config.seed, *_TRAIN_KEY),
     )
@@ -95,9 +96,8 @@ def _fleet_costs(config):
 
 
 def _grid_ranges(config, n_clients):
-    k_max = min(config.get("control.k_max", n_clients), n_clients)
-    e_max = config.get("control.e_max", 100)
-    return range(1, k_max + 1), range(1, e_max + 1)
+    k_max = min(config.get("control.k_max") or n_clients, n_clients)  # k_max defaults to N
+    return range(1, k_max + 1), range(1, config.get("control.e_max") + 1)
 
 
 def _solve(config, dataset, profile, costs, out_dir, rho, grid=False):
@@ -106,19 +106,22 @@ def _solve(config, dataset, profile, costs, out_dir, rho, grid=False):
     also write estimation.csv.  Returns (solution, estimate or None)."""
     estimate = None
     if rho is None:
+        # the run's training settings, seeded apart; each pilot sets its own
+        # K, E, round cap, target loss and seed from them
+        pilot_train = replace(
+            build_train_config(config, None, None), seed=sub_seed(config.seed, *_PILOT_KEY)
+        )
         estimate = optimizer.estimate_rho(
             EstimationPlan(
                 pairs=config.require("estimate.pairs"),
                 loss_a=config.require("estimate.loss_a"),
                 loss_b=config.require("estimate.loss_b"),
-                round_cap=config.get("estimate.round_cap", 500),
+                round_cap=config.get("estimate.round_cap"),
             ),
             dataset,
             profile,
             costs,
-            batch_size=config.get("train.batch_size", 64),
-            eta0=config.get("train.eta0", 0.1),
-            seed=sub_seed(config.seed, *_PILOT_KEY),
+            pilot_train,
         )
         optimizer.write_estimation_csv(estimate.records, os.path.join(out_dir, "estimation.csv"))
         rho = estimate.rho
@@ -132,7 +135,7 @@ def _solve(config, dataset, profile, costs, out_dir, rho, grid=False):
     optimizer.write_solution_csv(
         solution,
         os.path.join(out_dir, "solution.csv"),
-        rho=rho,
+        rho,
         overhead=None if estimate is None else estimate.overhead,
     )
     return solution, estimate

@@ -33,49 +33,52 @@ def _to_pairs(text):
     return pairs
 
 
+# key -> (parser, default); a default of None means the key has none, so a
+# command that needs the key requires it (see needs_for_command).
+# control.k_max has the one derived default: N, the dataset's client count.
 SCHEMA = {
-    "mode": str,
-    "seed": int,
-    "out": str,
-    "gamma": float,
-    "rho": float,
-    "scheduler": str,
-    "dataset.kind": str,
-    "dataset.n_clients": int,
-    "dataset.alpha": float,
-    "dataset.beta": float,
-    "dataset.size_mean": float,
-    "dataset.size_std": float,
-    "dataset.dim": int,
-    "dataset.classes": int,
-    "dataset.images": str,
-    "dataset.labels": str,
-    "dataset.labels_per_client": int,
-    "dataset.samples_per_client": int,
-    "system.profile": str,
-    "system.t_p_mean": float,
-    "system.t_p_std": float,
-    "system.e_p_mean": float,
-    "system.t_m_mean": float,
-    "system.e_m_mean": float,
-    "system.jitter": float,
-    "system.comm_spread": float,
-    "train.batch_size": int,
-    "train.eta0": float,
-    "train.max_rounds": int,
-    "train.target_loss": float,
-    "control.k": int,
-    "control.e": int,
-    "control.k_max": int,
-    "control.e_max": int,
-    "estimate.pairs": _to_pairs,
-    "estimate.loss_a": float,
-    "estimate.loss_b": float,
-    "estimate.round_cap": int,
-    "sweep.variable": str,
-    "sweep.values": _to_int_list,
-    "sweep.k": int,
-    "sweep.e": int,
+    "mode": (str, None),
+    "seed": (int, 0),
+    "out": (str, "out"),
+    "gamma": (float, None),
+    "rho": (float, None),
+    "scheduler": (str, "optimal-ts"),
+    "dataset.kind": (str, None),
+    "dataset.n_clients": (int, None),
+    "dataset.alpha": (float, 1.0),
+    "dataset.beta": (float, 1.0),
+    "dataset.size_mean": (float, 100.0),
+    "dataset.size_std": (float, 50.0),
+    "dataset.dim": (int, 60),
+    "dataset.classes": (int, 10),
+    "dataset.images": (str, None),
+    "dataset.labels": (str, None),
+    "dataset.labels_per_client": (int, 2),
+    "dataset.samples_per_client": (int, None),
+    "system.profile": (str, None),
+    "system.t_p_mean": (float, 0.5),
+    "system.t_p_std": (float, 0.15),
+    "system.e_p_mean": (float, 0.01),
+    "system.t_m_mean": (float, 0.2),
+    "system.e_m_mean": (float, 0.02),
+    "system.jitter": (float, 0.1),
+    "system.comm_spread": (float, 0.2),
+    "train.batch_size": (int, 64),
+    "train.eta0": (float, 0.1),
+    "train.max_rounds": (int, 300),
+    "train.target_loss": (float, None),
+    "control.k": (int, None),
+    "control.e": (int, None),
+    "control.k_max": (int, None),
+    "control.e_max": (int, 100),
+    "estimate.pairs": (_to_pairs, None),
+    "estimate.loss_a": (float, None),
+    "estimate.loss_b": (float, None),
+    "estimate.round_cap": (int, 500),
+    "sweep.variable": (str, None),
+    "sweep.values": (_to_int_list, None),
+    "sweep.k": (int, None),
+    "sweep.e": (int, None),
 }
 
 
@@ -85,8 +88,9 @@ class ExperimentConfig:
 
     raw: dict = field(default_factory=dict)
 
-    def get(self, key, default=None):
-        return self.raw.get(key, default)
+    def get(self, key):
+        """The key's parsed value, or its SCHEMA default."""
+        return self.raw[key] if key in self.raw else SCHEMA[key][1]
 
     def require(self, key):
         if key not in self.raw:
@@ -95,11 +99,11 @@ class ExperimentConfig:
 
     @property
     def seed(self):
-        return self.raw.get("seed", 0)
+        return self.get("seed")
 
     @property
     def out(self):
-        return self.raw.get("out", "out")
+        return self.get("out")
 
     @property
     def gamma(self):
@@ -107,7 +111,7 @@ class ExperimentConfig:
 
     @property
     def strategy(self):
-        return Strategy.parse(self.raw.get("scheduler", "optimal-ts"))
+        return Strategy.parse(self.get("scheduler"))
 
 
 def parse_config(path):
@@ -132,7 +136,7 @@ def parse_config(path):
                 problems.append(f"line {lineno}: duplicate key {key!r}")
                 continue
             try:
-                raw[key] = SCHEMA[key](value)
+                raw[key] = SCHEMA[key][0](value)
             except ValueError as exc:
                 problems.append(f"line {lineno}: bad value for {key}: {exc}")
     problems.extend(_static_problems(raw))

@@ -24,21 +24,18 @@ class ConvergenceCoeffs:
     """Statistical difficulty of the learning task.
 
     rho is the ratio of the convergence budget's constant term to the E^2
-    term (the only statistic the optimizer needs); epsilon is the target
-    loss precision, kept at 1 when already folded into rho.
+    term (the only statistic the optimizer needs); the target precision is
+    folded into rho, so the budget is driven down to 1.
     """
 
     rho: float
     n_clients: int
-    epsilon: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.rho) or self.rho <= 0:
             raise ValueError("rho must be finite and > 0")
         if self.n_clients < 1:
             raise ValueError("n_clients must be >= 1")
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0:
-            raise ValueError("epsilon must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -114,18 +111,18 @@ def convergence_bound(k, e, r, coeffs):
 
 
 def rounds_needed(k, e, coeffs):
-    """Rounds required to drive the convergence budget down to epsilon:
-    (rho + phi(K) E^2) / (epsilon E).  Continuous; callers ceil to simulate."""
+    """Rounds required to drive the convergence budget down to 1:
+    (rho + phi(K) E^2) / E.  Continuous; callers ceil to simulate."""
     k = np.asarray(k, dtype=float)
     e = np.asarray(e, dtype=float)
-    return _scalar(_budget_numerator(k, e, coeffs) / (coeffs.epsilon * e))
+    return _scalar(_budget_numerator(k, e, coeffs) / e)
 
 
 def p3_objective(k, e, costs, coeffs):
     """Blended cost of reaching the precision target, as a function of (K, E).
 
     [(1-gamma)(t_p E + t_m K) + gamma K (e_p E + e_m)] * (rho + phi(K) E^2)
-    / (epsilon E).  Accepts relaxed (continuous, broadcastable) K and E; only
+    / E.  Accepts relaxed (continuous, broadcastable) K and E; only
     positivity is enforced so finite differences may probe just outside
     [1, N].
     """
@@ -137,7 +134,7 @@ def p3_objective(k, e, costs, coeffs):
         raise ValueError("k and e must be > 0")
     g = costs.gamma
     rate = (1.0 - g) * (costs.t_p * e + costs.t_m * k) + g * k * (costs.e_p * e + costs.e_m)
-    return _scalar(rate * _budget_numerator(k, e, coeffs) / (coeffs.epsilon * e))
+    return _scalar(rate * _budget_numerator(k, e, coeffs) / e)
 
 
 def cost_report(k, e, costs, coeffs):

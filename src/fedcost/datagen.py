@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csvio import write_csv
-
 
 class PartitionError(ValueError):
     """Raised when a label-partition request cannot be satisfied by the pool."""
@@ -300,14 +298,3 @@ def load_idx(images_path, labels_path):
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n_images, rows * cols)
     return pixels, np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
 
-
-def dataset_to_csv(dataset, path):
-    """Serialize a dataset, one record per sample: client_id, label, features."""
-    header = ["client_id", "label"] + [f"f{j}" for j in range(dataset.n_features)]
-
-    def rows():
-        for client_id, shard in enumerate(dataset.shards):
-            for i in range(shard.n_k):
-                yield [client_id, int(shard.labels[i]), *shard.features[i]]
-
-    write_csv(path, header, rows())

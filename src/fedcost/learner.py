@@ -16,6 +16,7 @@ and finite-difference checkable.  All client randomness is pre-keyed on
 (seed, round, client), so traces are independent of execution order.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,8 @@ from .system import draw_round_costs
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the global loss becomes non-finite."""
+    """Raised when the global loss becomes non-finite or passes
+    _DIVERGED_LOSS_RATIO times the zero model's loss."""
 
 
 @dataclass
@@ -63,7 +65,7 @@ class TrainConfig:
     e: int
     batch_size: int = 64
     eta0: float = 0.1
-    max_rounds: int = 100
+    max_rounds: int = 300
     target_loss: float = None
     seed: int = 0
 
@@ -218,6 +220,14 @@ def sub_seed(seed, *key):
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
 
 
+# Softmax-regression gradients are bounded by the inputs, so a huge step size
+# gives a huge but finite loss (about 1e300 at eta0 = 1e300).  A loss past
+# this many times ln(C), the zero model's loss, counts as diverged.  The
+# largest loss / ln(C) of legitimate runs: 3.95 (fleet-sweep benchmark at
+# seed 7: K=5, E=2, eta0 0.3, round 0), 2.92 (the shipped optimize config at
+# seed 11), 2.23 (every run_fedavg call of the test suite).
+_DIVERGED_LOSS_RATIO = 1000.0
+
 _SAMPLING_DOMAIN = 0
 _COMM_DOMAIN = 1
 _SGD_DOMAIN = 2
@@ -316,7 +326,9 @@ def run_fedavg(dataset, profile, config):
     """Federated averaging with per-round cost accounting.
 
     Stops after max_rounds, or earlier once the post-aggregation global loss
-    reaches target_loss.  Returns (final model, per-round traces).
+    reaches target_loss; raises DivergenceError once it is non-finite or
+    passes _DIVERGED_LOSS_RATIO * ln(C).  Returns (final model, per-round
+    traces).
     """
     n = dataset.n_clients
     if profile.n_clients != n:
@@ -329,6 +341,7 @@ def run_fedavg(dataset, profile, config):
         raise ValueError("eta0 must be >= 0")
 
     model = ModelParams.zeros(dataset.n_classes, dataset.n_features)
+    loss_limit = _DIVERGED_LOSS_RATIO * math.log(dataset.n_classes)
     sample_rng = _substream(config.seed, _SAMPLING_DOMAIN)
     traces = []
     for r in range(config.max_rounds):
@@ -339,8 +352,10 @@ def run_fedavg(dataset, profile, config):
             [(cid, ModelParams(w[j], b[j])) for j, cid in enumerate(ids.tolist())], dataset
         )
         loss = global_loss(model, dataset)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite global loss at round {r}")
+        if not loss <= loss_limit:  # also true of nan
+            raise DivergenceError(
+                f"diverged at round {r}: global loss {loss:.6g}, limit {loss_limit:.6g}"
+            )
 
         comm_rng = _substream(config.seed, _COMM_DOMAIN, r)
         t_draw, e_draw = draw_round_costs(profile, ids, comm_rng)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .costmodel import ConvergenceCoeffs, p3_objective, rounds_needed, sampling_penalty
 from .csvio import write_csv
-from .learner import TrainConfig, run_fedavg, sub_seed
+from .learner import run_fedavg, sub_seed
 
 
 class EstimationError(RuntimeError):
@@ -34,13 +34,12 @@ class PilotTimeoutError(RuntimeError):
 @dataclass
 class AcsConfig:
     """Alternate-search settings: start point, stopping tolerance on the
-    (K, E) step, sweep cap, and the ceiling for the E root search."""
+    (K, E) step, and sweep cap."""
 
     k0: float = None  # defaults to N/2
     e0: float = 10.0
     tol: float = 1e-3
     max_sweeps: int = 100
-    e_max: float = 1e6
 
 
 @dataclass
@@ -61,7 +60,7 @@ class EstimationPlan:
     pairs: tuple
     loss_a: float
     loss_b: float
-    round_cap: int = 1000
+    round_cap: int = 500
 
     def __post_init__(self):
         pairs = tuple((int(k), int(e)) for k, e in self.pairs)
@@ -142,6 +141,12 @@ def _rounding_candidates(k, e, n):
     return sorted((ki, ei) for ki in ks for ei in es)
 
 
+def _solution(k_star, e_star, cost, coeffs, trajectory, converged):
+    """The integer pair's Solution; R* is its rounds_needed, ceiled, at least 1."""
+    r_star = max(1, int(math.ceil(rounds_needed(k_star, e_star, coeffs))))
+    return Solution(k_star, e_star, r_star, cost, trajectory, converged)
+
+
 def acs_optimize(costs, coeffs, config=None):
     """Alternate convex search for the integer (K*, E*) and the matching
     round count.
@@ -162,7 +167,7 @@ def acs_optimize(costs, coeffs, config=None):
     converged = False
     for _ in range(config.max_sweeps):
         k_new = solve_k_given_e(e, costs, coeffs)
-        e_new = solve_e_given_k(k_new, costs, coeffs, e_max=config.e_max)
+        e_new = solve_e_given_k(k_new, costs, coeffs)
         trajectory.append((k_new, e_new))
         step = math.hypot(k_new - k, e_new - e)
         k, e = k_new, e_new
@@ -176,15 +181,7 @@ def acs_optimize(costs, coeffs, config=None):
         if best is None or obj < best[0]:
             best = (obj, ki, ei)
     obj, k_star, e_star = best
-    r_star = int(math.ceil(rounds_needed(k_star, e_star, coeffs)))
-    return Solution(
-        k_star=k_star,
-        e_star=e_star,
-        r_star=max(1, r_star),
-        predicted_cost=obj,
-        trajectory=trajectory,
-        converged=converged,
-    )
+    return _solution(k_star, e_star, obj, coeffs, trajectory, converged)
 
 
 def grid_search(costs, coeffs, k_values, e_values):
@@ -203,16 +200,7 @@ def grid_search(costs, coeffs, k_values, e_values):
     obj = p3_objective(kk, ee, costs, coeffs)
     flat = int(np.argmin(obj))  # row-major: smallest K first, then smallest E
     i, j = divmod(flat, e_values.size)
-    k_star, e_star = int(k_values[i]), int(e_values[j])
-    r_star = int(math.ceil(rounds_needed(k_star, e_star, coeffs)))
-    return Solution(
-        k_star=k_star,
-        e_star=e_star,
-        r_star=max(1, r_star),
-        predicted_cost=float(obj[i, j]),
-        trajectory=[],
-        converged=True,
-    )
+    return _solution(int(k_values[i]), int(e_values[j]), float(obj[i, j]), coeffs, [], True)
 
 
 def _rounds_to_loss(traces, level):
@@ -222,19 +210,22 @@ def _rounds_to_loss(traces, level):
     return None
 
 
-def run_pilots(plan, dataset, profile, batch_size=64, eta0=0.1, seed=0):
+def run_pilots(plan, dataset, profile, train):
     """Run each pilot pair until the lower loss level is crossed; record the
-    round counts at which each level was first reached."""
+    round counts at which each level was first reached.
+
+    Each pilot trains with the settings of `train`, the TrainConfig of the
+    run being sized, at its own (K, E), with the plan's round cap and lower
+    loss level as target and a seed keyed on train.seed and its position."""
     records = []
     for i, (k, e) in enumerate(plan.pairs):
-        config = TrainConfig(
+        config = replace(
+            train,
             k=k,
             e=e,
-            batch_size=batch_size,
-            eta0=eta0,
             max_rounds=plan.round_cap,
             target_loss=plan.loss_b,
-            seed=sub_seed(seed, 3, i),
+            seed=sub_seed(train.seed, 3, i),
         )
         _, traces = run_fedavg(dataset, profile, config)
         r_a = _rounds_to_loss(traces, plan.loss_a)
@@ -285,11 +276,11 @@ def rho_from_pilots(records, n_clients):
     return float(np.mean(estimates))
 
 
-def estimate_rho(plan, dataset, profile, costs, batch_size=64, eta0=0.1, seed=0):
-    """Estimate rho from pilot runs, then optimize (K, E) and report the
-    estimation overhead: pilot iterations divided by the optimized run's
-    K* E* R*."""
-    records = run_pilots(plan, dataset, profile, batch_size=batch_size, eta0=eta0, seed=seed)
+def estimate_rho(plan, dataset, profile, costs, train):
+    """Estimate rho from pilot runs trained like `train` (see run_pilots),
+    then optimize (K, E) and report the estimation overhead: pilot
+    iterations divided by the optimized run's K* E* R*."""
+    records = run_pilots(plan, dataset, profile, train)
     rho = rho_from_pilots(records, dataset.n_clients)
     coeffs = ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients)
     solution = acs_optimize(costs, coeffs)
@@ -330,15 +321,11 @@ def verify_properties(costs, coeffs):
     def check(name, passed, detail):
         findings.append(PropertyFinding(name=name, passed=bool(passed), detail=detail))
 
-    def k_at(gamma=None, **overrides):
-        c = costs if gamma is None else costs.with_gamma(gamma)
-        c = replace(c, **overrides) if overrides else c
-        return solve_k_given_e(20.0, c, coeffs)
+    def k_at(gamma, **overrides):
+        return solve_k_given_e(20.0, replace(costs, gamma=float(gamma), **overrides), coeffs)
 
-    def e_at(k, gamma=None, **overrides):
-        c = costs if gamma is None else costs.with_gamma(gamma)
-        c = replace(c, **overrides) if overrides else c
-        return solve_e_given_k(k, c, coeffs)
+    def e_at(k, gamma, **overrides):
+        return solve_e_given_k(k, replace(costs, gamma=float(gamma), **overrides), coeffs)
 
     ks = [k_at(gamma=g) for g in gammas]
     check(
@@ -417,18 +404,16 @@ def write_estimation_csv(records, path):
     )
 
 
-def write_solution_csv(solution, path, rho=None, overhead=None):
-    header = ["k_star", "e_star", "r_star", "predicted_cost", "converged"]
+def write_solution_csv(solution, path, rho, overhead=None):
+    header = ["k_star", "e_star", "r_star", "predicted_cost", "converged", "rho"]
     row = [
         solution.k_star,
         solution.e_star,
         solution.r_star,
         solution.predicted_cost,
         solution.converged,
+        rho,
     ]
-    if rho is not None:
-        header.append("rho")
-        row.append(rho)
     if overhead is not None:
         header.append("overhead_ratio")
         row.append(overhead)

@@ -189,42 +189,6 @@ def draw_round_costs(profile, sampled_ids, rng):
     return t, e
 
 
-def shannon_comm_time(model_bits, bandwidth_hz, tx_power, channel_gain, noise_power):
-    """Upload seconds for a model of the given size over a Shannon-rate link.
-
-    rate = bandwidth * log2(1 + tx_power * channel_gain / noise_power).
-    """
-    for name, v in (
-        ("model_bits", model_bits),
-        ("bandwidth_hz", bandwidth_hz),
-        ("tx_power", tx_power),
-        ("channel_gain", channel_gain),
-        ("noise_power", noise_power),
-    ):
-        if not np.isfinite(v) or v <= 0:
-            raise ValueError(f"{name} must be finite and > 0")
-    snr = tx_power * channel_gain / noise_power
-    if snr == 0:
-        raise ValueError("zero SNR: link rate is zero")
-    return model_bits / (bandwidth_hz * np.log2(1.0 + snr))
-
-
-def save_profile(profile, path):
-    """Serialize a profile to JSON (keys: n_clients, t_comp, e_comp,
-    comm_time_mean, comm_energy_mean, jitter)."""
-    payload = {
-        "n_clients": profile.n_clients,
-        "t_comp": profile.t_comp.tolist(),
-        "e_comp": profile.e_comp.tolist(),
-        "comm_time_mean": profile.comm_time_mean.tolist(),
-        "comm_energy_mean": profile.comm_energy_mean.tolist(),
-        "jitter": profile.comm_jitter,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_profile(path):
     with open(path) as fh:
         payload = json.load(fh)

@@ -310,7 +310,7 @@ def test_criterion_7_end_to_end(desk):
         loss_b=round(target * 1.12, 3),
         round_cap=900,
     )
-    records = run_pilots(plan, dataset, profile, seed=13)
+    records = run_pilots(plan, dataset, profile, TrainConfig(k=None, e=None, seed=13))
     rho = rho_from_pilots(records, dataset.n_clients)
     coeffs = ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients)
 

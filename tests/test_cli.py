@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import inspect
 import os
 import tracemalloc
 
@@ -10,7 +12,10 @@ from hypothesis import strategies as st
 from conftest import write_idx, write_oversized_idx
 from fedcost.cli import build_dataset, main
 from fedcost.config import SCHEMA, ConfigError, needs_for_command, parse_config
-from fedcost.datagen import dataset_to_csv
+from fedcost.datagen import gen_synthetic
+from fedcost.learner import TrainConfig
+from fedcost.optimizer import EstimationPlan
+from fedcost.system import sample_profile
 
 
 BASE = """
@@ -146,6 +151,25 @@ def test_artifacts_match_recorded_digests(tmp_path):
     )
 
 
+def test_pilot_artifacts_match_recorded_digests(tmp_path):
+    # digests recorded when the pilots took their own batch size, step size
+    # and seed, not the run's training settings
+    est_cfg = write_config(tmp_path, BASE.format(gamma=0.5) + PLAN, "est.cfg")
+    grid_cfg = write_config(tmp_path, BASE.format(gamma=0.0) + PLAN + "mode = grid\n", "grid.cfg")
+    est, grid = str(tmp_path / "est"), str(tmp_path / "grid")
+    assert main(["estimate", "--config", est_cfg, "--out", est]) == 0
+    assert main(["run", "--config", grid_cfg, "--out", grid]) == 0
+    pilots = "017cf81fa40f81519aca730bfce09d54bf1f583bf0ace56d46cd4d7849a4efb6"
+    assert sha256(est, "estimation.csv") == pilots
+    assert sha256(grid, "estimation.csv") == pilots
+    assert sha256(est, "solution.csv") == (
+        "81db83de0f529b2be05bf9b21a8987c590220e2298e6ede111295fb3fa2f4fc3"
+    )
+    assert sha256(grid, "solution.csv") == (
+        "20f2ec1cba1d72880892cd8ce09e84935f9582e7d9636c6cbb5db0483934aa9f"
+    )
+
+
 IDX = """
 seed = 3
 gamma = 0.5
@@ -171,12 +195,17 @@ def test_idx_run_matches_recorded_digests(tmp_path):
     cfg = write_config(tmp_path, IDX.format(images=images, labels=labels))
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg, "--out", out]) == 0
-    dataset_to_csv(build_dataset(parse_config(cfg)), os.path.join(out, "dataset.csv"))
     assert sha256(out, "traces.csv") == (
         "e7e6d3e4994bdc639de2fcc8e21dbf26ac2211589b7d93a9c6cf14df77976289"
     )
-    assert sha256(out, "dataset.csv") == (
-        "c9070140e3680201d1a170a5fea0bb0f77b9107fc01f0a7b9f55e25517d7e3cd"
+    # the packed rows' bytes, recorded before the dataset CSV export went:
+    # they fix every float the export wrote as its round-trip repr
+    dataset = build_dataset(parse_config(cfg))
+    packed = hashlib.sha256()
+    for array in (dataset.features, dataset.labels, dataset.sizes):
+        packed.update(array.tobytes())
+    assert packed.hexdigest() == (
+        "df8d6f3fec51a85c63a5aafd3d9144559d64e6e6d86b8234de3af66d829db106"
     )
 
 
@@ -343,6 +372,60 @@ def test_parse_config_raises_only_config_error(tmp_path, lines):
         parse_config(str(path))
     except ConfigError:
         pass
+
+
+def test_huge_step_size_ends_in_divergence(tmp_path, capsys):
+    body = BASE.format(gamma=0.5) + FIXED + "train.eta0 = 1e300\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, body), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not os.path.exists(out)
+
+
+def readme_config_defaults():
+    """key -> default cell of README's config table."""
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path) as fh:
+        table = fh.read().split("## Config format", 1)[1].split("\n## ", 1)[0]
+    cells = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
+    return {key.strip().strip("`"): default.strip().strip("`") for key, default in cells}
+
+
+def test_defaults_agree(tmp_path):
+    config = parse_config(write_config(tmp_path, BASE.format(gamma=0.5)))
+    for key, (parser, default) in SCHEMA.items():
+        if key not in config.raw:
+            assert config.get(key) == default, key
+        if default is not None:
+            assert parser(str(default)) == default, key
+
+    # the library defaults that mirror a config key
+    train = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    plan = {f.name: f.default for f in dataclasses.fields(EstimationPlan)}
+    synthetic = inspect.signature(gen_synthetic).parameters
+    profile = inspect.signature(sample_profile).parameters
+    mirrors = {
+        "train.batch_size": train["batch_size"],
+        "train.eta0": train["eta0"],
+        "train.max_rounds": train["max_rounds"],
+        "estimate.round_cap": plan["round_cap"],
+        "dataset.dim": synthetic["n_features"].default,
+        "dataset.classes": synthetic["n_classes"].default,
+        "system.comm_spread": profile["comm_spread"].default,
+    }
+    for key, value in mirrors.items():
+        assert SCHEMA[key][1] == value, key
+
+    readme = readme_config_defaults()
+    assert set(readme) == set(SCHEMA)
+    for key, (_, default) in SCHEMA.items():
+        if key == "control.k_max":
+            assert readme[key] == "N"
+        elif default is None:
+            assert readme[key] in ("required", "none"), key
+        else:
+            assert readme[key] == str(default), key
 
 
 def test_cli_reports_config_errors_and_fails(tmp_path, capsys):

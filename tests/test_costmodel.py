@@ -152,10 +152,10 @@ def test_rounds_needed_minimized_at_sqrt_rho_over_phi():
 
 
 def test_bound_inverts_rounds_needed():
-    coeffs = ConvergenceCoeffs(rho=1850, n_clients=100, epsilon=0.05)
+    coeffs = ConvergenceCoeffs(rho=1850, n_clients=100)
     for k, e in ((1, 5), (10, 20), (100, 3)):
         r = rounds_needed(k, e, coeffs)
-        assert convergence_bound(k, e, r, coeffs) == pytest.approx(coeffs.epsilon, rel=1e-12)
+        assert convergence_bound(k, e, r, coeffs) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_p3_objective_example():

@@ -11,7 +11,6 @@ from fedcost.datagen import (
     IdxMagicError,
     IdxTruncatedError,
     PartitionError,
-    dataset_to_csv,
     gen_synthetic,
     load_idx,
     partition_by_label,
@@ -223,17 +222,6 @@ def test_load_idx_count_mismatch(tmp_path):
                          label_count=9)
     with pytest.raises(IdxCountMismatchError):
         load_idx(img, lab)
-
-
-def test_dataset_csv_layout(tmp_path, small_dataset):
-    path = tmp_path / "data.csv"
-    dataset_to_csv(small_dataset, str(path))
-    lines = path.read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[:2] == ["client_id", "label"]
-    assert len(header) == 2 + small_dataset.n_features
-    assert len(lines) - 1 == small_dataset.n
-    assert all(len(line.split(",")) == len(header) for line in lines[1:])
 
 
 def test_shard_validation():

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_costs
 from fedcost.costmodel import ConvergenceCoeffs, p3_objective, sampling_penalty
+from fedcost.learner import TrainConfig
 from fedcost.optimizer import (
     AcsConfig,
     EstimationError,
@@ -49,6 +50,8 @@ def sim_costs_with(gamma):
 
 
 SIM_COEFFS = ConvergenceCoeffs(rho=1850.0, n_clients=100)
+# the training settings the pilots run with; each pilot sets its own k and e
+PILOT_TRAIN = TrainConfig(k=None, e=None, seed=13)
 
 
 def test_pure_energy_pricing_always_samples_one_client():
@@ -251,7 +254,7 @@ def test_estimate_rho_end_to_end(desk_dataset, desk_profile):
     plan = EstimationPlan(
         pairs=((2, 5), (5, 10), (10, 20), (16, 40)), loss_a=1.9, loss_b=1.7, round_cap=400
     )
-    est = estimate_rho(plan, desk_dataset, desk_profile, costs, seed=13)
+    est = estimate_rho(plan, desk_dataset, desk_profile, costs, PILOT_TRAIN)
     assert est.rho > 0
     assert est.overhead > 0
     assert est.solution.k_star >= 1
@@ -263,7 +266,7 @@ def test_estimate_rho_end_to_end(desk_dataset, desk_profile):
 def test_pilot_timeout_is_reported(desk_dataset, desk_profile):
     plan = EstimationPlan(pairs=((2, 5), (5, 10)), loss_a=0.2, loss_b=0.1, round_cap=5)
     with pytest.raises(PilotTimeoutError):
-        run_pilots(plan, desk_dataset, desk_profile, seed=13)
+        run_pilots(plan, desk_dataset, desk_profile, PILOT_TRAIN)
 
 
 def test_estimation_plan_validation():
