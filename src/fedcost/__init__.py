@@ -18,7 +18,6 @@ from .costmodel import (
     sampling_penalty,
 )
 from .datagen import (
-    ClientShard,
     FederatedDataset,
     gen_synthetic,
     load_idx,

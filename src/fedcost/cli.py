@@ -100,11 +100,13 @@ def _grid_ranges(config, n_clients):
     return range(1, k_max + 1), range(1, config.get("control.e_max") + 1)
 
 
-def _solve(config, dataset, profile, costs, out_dir, rho, grid=False):
-    """Pick (K*, E*) by ACS, or by grid search when `grid`, and write
-    solution.csv.  With rho None, rho is estimated from the pilot runs, which
-    also write estimation.csv.  Returns (solution, estimate or None)."""
-    estimate = None
+def _solve(config, dataset, profile, costs, rho, grid=False):
+    """Pick (K*, E*) by ACS, or by grid search when `grid`; with rho None,
+    estimate rho from the pilot runs first.  Writes nothing.  Returns
+    (solution, rho, pilot records, overhead ratio), the last two None when
+    rho was given; the overhead ratio is the pilots' local steps over the
+    solution's K* E* R*."""
+    records = overhead = None
     if rho is None:
         # the run's training settings, seeded apart; each pilot sets its own
         # K, E, round cap, target loss and seed from them
@@ -120,46 +122,48 @@ def _solve(config, dataset, profile, costs, out_dir, rho, grid=False):
             ),
             dataset,
             profile,
-            costs,
             pilot_train,
         )
-        optimizer.write_estimation_csv(estimate.records, os.path.join(out_dir, "estimation.csv"))
-        rho = estimate.rho
+        rho, records = estimate.rho, estimate.records
     coeffs = ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients)
     if grid:
         solution = optimizer.grid_search(costs, coeffs, *_grid_ranges(config, dataset.n_clients))
-    elif estimate is not None:
-        solution = estimate.solution
     else:
         solution = optimizer.acs_optimize(costs, coeffs)
-    optimizer.write_solution_csv(
-        solution,
-        os.path.join(out_dir, "solution.csv"),
-        rho,
-        overhead=None if estimate is None else estimate.overhead,
-    )
-    return solution, estimate
+    if records is not None:
+        overhead = estimate.pilot_steps / (solution.k_star * solution.e_star * solution.r_star)
+    return solution, rho, records, overhead
+
+
+def _write_solution(out_dir, solution, rho, records, overhead):
+    """Write _solve's result: solution.csv, and estimation.csv after pilots."""
+    if records is not None:
+        optimizer.write_estimation_csv(records, os.path.join(out_dir, "estimation.csv"))
+    optimizer.write_solution_csv(solution, os.path.join(out_dir, "solution.csv"), rho, overhead)
 
 
 def cmd_run(config, out_dir):
     dataset, profile, costs = _build(config)
     mode = config.require("mode")
+    solved = None
     if mode == "fixed":
         k, e = config.require("control.k"), config.require("control.e")
     else:
-        solution, _ = _solve(
-            config, dataset, profile, costs, out_dir, config.get("rho"), grid=mode == "grid"
-        )
-        k, e = solution.k_star, solution.e_star
+        solved = _solve(config, dataset, profile, costs, config.get("rho"), grid=mode == "grid")
+        k, e = solved[0].k_star, solved[0].e_star
 
     _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
+    if solved is not None:  # only once training has succeeded
+        _write_solution(out_dir, *solved)
     learner.export_traces(traces, os.path.join(out_dir, "traces.csv"), config.strategy)
     print(f"run: K={k} E={e} rounds={len(traces)} final_loss={traces[-1].loss:.6f}")
     return 0
 
 
 def cmd_optimize(config, out_dir):
-    solution, _ = _solve(config, *_build(config), out_dir, config.get("rho"))
+    solved = _solve(config, *_build(config), config.get("rho"))
+    _write_solution(out_dir, *solved)
+    solution = solved[0]
     print(
         f"optimize: K*={solution.k_star} E*={solution.e_star} R*={solution.r_star} "
         f"cost={solution.predicted_cost:.6g}"
@@ -168,8 +172,10 @@ def cmd_optimize(config, out_dir):
 
 
 def cmd_estimate(config, out_dir):
-    _, estimate = _solve(config, *_build(config), out_dir, rho=None)
-    print(f"estimate: rho={estimate.rho:.6g} overhead_ratio={estimate.overhead:.4f}")
+    solved = _solve(config, *_build(config), rho=None)
+    _write_solution(out_dir, *solved)
+    _, rho, _, overhead = solved
+    print(f"estimate: rho={rho:.6g} overhead_ratio={overhead:.4f}")
     return 0
 
 

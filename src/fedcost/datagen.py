@@ -38,68 +38,43 @@ class IdxCountMismatchError(IdxError):
 
 
 @dataclass
-class ClientShard:
-    """One client's local data, stored as stacked arrays.  A client's id is
-    its shard's index in FederatedDataset.shards."""
+class FederatedDataset:
+    """The federation's rows, packed: features (n, d) and labels (n,), with
+    client k's shard at rows offsets[k]:offsets[k] + sizes[k].  A client's id
+    is its shard's position.  Arrays already float64 / int64 are kept, not
+    copied."""
 
-    features: np.ndarray  # (n_k, d)
-    labels: np.ndarray  # (n_k,)
+    features: np.ndarray  # (n, d)
+    labels: np.ndarray  # (n,)
+    sizes: np.ndarray  # (N,)
+    n_classes: int
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.sizes = np.asarray(self.sizes, dtype=np.int64)
         if self.features.ndim != 2:
-            raise ValueError("features must be a 2-d array (n_k, d)")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels length must match the number of samples")
-        if self.n_k < 1:
-            raise ValueError("a shard must hold at least one sample")
-        if np.any(self.labels < 0):
-            raise ValueError("labels must be non-negative")
+            raise ValueError("features must be a 2-d array (n, d)")
+        if self.labels.shape != (self.n,):
+            raise ValueError("labels must hold one label per row")
+        if self.sizes.ndim != 1 or self.sizes.size < 1:
+            raise ValueError("a dataset needs at least one client")
+        if self.sizes.min() < 1:
+            raise ValueError("every client must hold at least one sample")
+        if self.sizes.sum() != self.n:
+            raise ValueError(f"client sizes sum to {self.sizes.sum()}, not the {self.n} rows")
+        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
+            raise ValueError(f"labels must lie in [0, {self.n_classes})")
+        self.offsets = np.cumsum(self.sizes) - self.sizes
 
     @property
-    def n_k(self):
-        return int(self.features.shape[0])
-
-
-@dataclass
-class FederatedDataset:
-    """Client shards plus the task dimensions (feature dim, class count).
-
-    Every shard is a view into one packed copy of the federation's rows:
-    `features` (n, d) and `labels` (n,), with shard k at rows
-    offsets[k]:offsets[k] + sizes[k].  The builders in this module write the
-    rows packed; shards given as independent arrays are packed once here.
-    """
-
-    shards: list
-    n_features: int
-    n_classes: int
-    features: np.ndarray = field(init=False, repr=False)
-    labels: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
-    sizes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.shards:
-            raise ValueError("a dataset needs at least one shard")
-        for shard in self.shards:
-            if shard.features.shape[1] != self.n_features:
-                raise ValueError("shard feature dimension does not match dataset")
-        self.sizes = np.array([s.n_k for s in self.shards])
-        self.offsets = np.cumsum(self.sizes) - self.sizes
-        self.features = _packed_base([s.features for s in self.shards], self.offsets)
-        self.labels = _packed_base([s.labels for s in self.shards], self.offsets)
-        if self.features is None or self.labels is None:
-            self.features = np.concatenate([s.features for s in self.shards])
-            self.labels = np.concatenate([s.labels for s in self.shards])
-            self.shards = _views(self.features, self.labels, self.sizes)
-        if self.labels.max() >= self.n_classes:
-            raise ValueError("shard label exceeds the configured class count")
+    def n_features(self):
+        return int(self.features.shape[1])
 
     @property
     def n_clients(self):
-        return len(self.shards)
+        return int(self.sizes.size)
 
     @property
     def n(self):
@@ -111,33 +86,11 @@ class FederatedDataset:
         counts = self.sizes.astype(float)
         return counts / counts.sum()
 
-
-def _packed_base(arrays, offsets):
-    """The one array whose consecutive row blocks at `offsets` the given
-    arrays are, or None if they are not such views."""
-    base = arrays[0].base
-    if (
-        base is None
-        or not base.flags.c_contiguous
-        or base.shape[0] != offsets[-1] + arrays[-1].shape[0]
-    ):
-        return None
-    start, stride = base.ctypes.data, base.strides[0]
-    for a, offset in zip(arrays, offsets.tolist()):
-        if a.base is not base or a.shape[1:] != base.shape[1:]:
-            return None
-        if a.ctypes.data != start + offset * stride:
-            return None
-    return base
-
-
-def _views(features, labels, sizes):
-    """Shards over consecutive row blocks of packed features and labels."""
-    stops = np.cumsum(sizes).tolist()
-    return [
-        ClientShard(features[stop - n_k:stop], labels[stop - n_k:stop])
-        for stop, n_k in zip(stops, sizes.tolist())
-    ]
+    def shard(self, k):
+        """Client k's (features, labels): views into the packed rows."""
+        start = int(self.offsets[k])
+        stop = start + int(self.sizes[k])
+        return self.features[start:stop], self.labels[start:stop]
 
 
 def _shard_sizes(rng, n_clients, size_mean, size_std):
@@ -175,18 +128,18 @@ def gen_synthetic(alpha, beta, n_clients, size_mean, size_std, seed, n_features=
     cov_scale = np.sqrt(np.arange(1, n_features + 1, dtype=float) ** -1.2)
 
     features = np.empty((int(sizes.sum()), n_features))
-    labels = np.zeros(features.shape[0], dtype=np.int64)
-    shards = _views(features, labels, sizes)
-    for k, shard in enumerate(shards):
+    labels = np.empty(features.shape[0], dtype=np.int64)
+    for k, (stop, n_k) in enumerate(zip(np.cumsum(sizes).tolist(), sizes.tolist())):
         rng = np.random.default_rng(streams[k + 1])
         u = np.sqrt(alpha) * rng.standard_normal()
         weight = u + np.sqrt(alpha) * rng.standard_normal((n_classes, n_features))
         bias = u + np.sqrt(alpha) * rng.standard_normal(n_classes)
         b_off = np.sqrt(beta) * rng.standard_normal()
         v = b_off + np.sqrt(beta) * rng.standard_normal(n_features)
-        shard.features[:] = v + rng.standard_normal(shard.features.shape) * cov_scale
-        shard.labels[:] = np.argmax(shard.features @ weight.T + bias, axis=1)
-    return FederatedDataset(shards=shards, n_features=n_features, n_classes=n_classes)
+        rows = features[stop - n_k:stop]
+        rows[:] = v + rng.standard_normal(rows.shape) * cov_scale
+        labels[stop - n_k:stop] = np.argmax(rows @ weight.T + bias, axis=1)
+    return FederatedDataset(features, labels, sizes, n_classes)
 
 
 def partition_by_label(features, labels, n_clients, labels_per_client, samples_per_client, seed):
@@ -246,12 +199,11 @@ def partition_by_label(features, labels, n_clients, labels_per_client, samples_p
             unused[lab] = unused[lab][take:]
     taken = np.concatenate(taken)
     packed = features[taken]
-    packed = packed / 255.0 if packed.dtype == np.uint8 else packed.astype(float, copy=False)
     return FederatedDataset(
-        shards=_views(packed, labels[taken].astype(np.int64, copy=False),
-                      np.full(n_clients, samples_per_client)),
-        n_features=features.shape[1],
-        n_classes=int(labels.max()) + 1,
+        packed / 255.0 if packed.dtype == np.uint8 else packed,
+        labels[taken],
+        np.full(n_clients, samples_per_client),
+        int(labels.max()) + 1,
     )
 
 

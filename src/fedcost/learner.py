@@ -141,8 +141,8 @@ def global_loss(model, dataset):
     logits = np.empty((dataset.n, dataset.n_classes))
     w_t = model.weights.T
     spans = list(zip(dataset.offsets.tolist(), dataset.sizes.tolist()))
-    for shard, (start, n_k) in zip(dataset.shards, spans):
-        np.matmul(shard.features, w_t, out=logits[start:start + n_k])
+    for start, n_k in spans:
+        np.matmul(dataset.features[start:start + n_k], w_t, out=logits[start:start + n_k])
     logits += model.bias
     ll = _log_likelihoods(logits, dataset.labels)
     total = 0.0
@@ -151,9 +151,9 @@ def global_loss(model, dataset):
     return total / dataset.n
 
 
-def local_sgd(model, shard, steps, lr, batch_size, rng):
-    """Run `steps` mini-batch SGD steps on one shard; the input model is left
-    untouched.
+def local_sgd(model, features, labels, steps, lr, batch_size, rng):
+    """Run `steps` mini-batch SGD steps on one shard, given as features
+    (n_k, d) and labels (n_k,); the input model is left untouched.
 
     Batches are drawn with replacement; when batch_size >= shard size the
     exact shard gradient is used instead (a true full-batch step).
@@ -164,18 +164,19 @@ def local_sgd(model, shard, steps, lr, batch_size, rng):
         raise ValueError("learning rate must be >= 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if shard.n_k < 1:
+    n_k = labels.shape[0]
+    if n_k < 1:
         raise ValueError("empty shard")
     w = model.weights.copy()
     b = model.bias.copy()
     current = ModelParams(w, b)
-    full_batch = batch_size >= shard.n_k
+    full_batch = batch_size >= n_k
     for _ in range(steps):
         if full_batch:
-            x, y = shard.features, shard.labels
+            x, y = features, labels
         else:
-            idx = rng.integers(0, shard.n_k, size=batch_size)
-            x, y = shard.features[idx], shard.labels[idx]
+            idx = rng.integers(0, n_k, size=batch_size)
+            x, y = features[idx], labels[idx]
         gw, gb = ce_gradient(current, x, y)
         w -= lr * gw
         b -= lr * gb
@@ -303,11 +304,11 @@ def _full_batch_steps(w, b, dataset, ids, steps, lr):
     them to one shape would change the products' rounding); the softmax runs
     once over all their rows."""
     sizes = dataset.sizes[ids]
-    features = [dataset.shards[cid].features for cid in ids.tolist()]
+    features, labels = zip(*(dataset.shard(cid) for cid in ids.tolist()))
     logits = np.empty((sizes.sum(), w.shape[1]))
     stops = np.cumsum(sizes).tolist()
     spans = [logits[stop - n_k:stop] for stop, n_k in zip(stops, sizes.tolist())]
-    hot = _hot(np.concatenate([dataset.shards[cid].labels for cid in ids.tolist()]), w.shape[1])
+    hot = _hot(np.concatenate(labels), w.shape[1])
     counts = np.repeat(sizes, sizes)[:, None]
     gw, gb = np.empty_like(w), np.empty_like(b)
     for _ in range(steps):

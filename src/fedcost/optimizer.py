@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .costmodel import ConvergenceCoeffs, p3_objective, rounds_needed, sampling_penalty
+from .costmodel import p3_objective, rounds_needed, sampling_penalty
 from .csvio import write_csv
 from .learner import run_fedavg, sub_seed
 
@@ -86,9 +86,8 @@ class PilotRecord:
 @dataclass(frozen=True)
 class RhoEstimate:
     rho: float
-    overhead: float
     records: tuple
-    solution: Solution
+    pilot_steps: int  # sum of K E R_b over the pilots
 
 
 def solve_k_given_e(e, costs, coeffs):
@@ -276,18 +275,15 @@ def rho_from_pilots(records, n_clients):
     return float(np.mean(estimates))
 
 
-def estimate_rho(plan, dataset, profile, costs, train):
-    """Estimate rho from pilot runs trained like `train` (see run_pilots),
-    then optimize (K, E) and report the estimation overhead: pilot
-    iterations divided by the optimized run's K* E* R*."""
+def estimate_rho(plan, dataset, profile, train):
+    """Estimate rho from pilot runs trained like `train` (see run_pilots).
+    The pilots' local step count is kept: over a solution's K* E* R* it is
+    the estimation overhead."""
     records = run_pilots(plan, dataset, profile, train)
-    rho = rho_from_pilots(records, dataset.n_clients)
-    coeffs = ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients)
-    solution = acs_optimize(costs, coeffs)
-    spent = sum(r.k * r.e * r.rounds_to_b for r in records)
-    overhead = spent / (solution.k_star * solution.e_star * solution.r_star)
     return RhoEstimate(
-        rho=rho, overhead=float(overhead), records=tuple(records), solution=solution
+        rho=rho_from_pilots(records, dataset.n_clients),
+        records=tuple(records),
+        pilot_steps=sum(r.k * r.e * r.rounds_to_b for r in records),
     )
 
 
@@ -397,10 +393,7 @@ def write_estimation_csv(records, path):
     write_csv(
         path,
         ["pilot_k", "pilot_e", "rounds_to_loss_a", "rounds_to_loss_b"],
-        (
-            [r.k, r.e, -1 if r.rounds_to_a is None else r.rounds_to_a, r.rounds_to_b]
-            for r in records
-        ),
+        ([r.k, r.e, r.rounds_to_a, r.rounds_to_b] for r in records),
     )
 
 

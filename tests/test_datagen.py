@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import write_idx, write_oversized_idx
 from fedcost.datagen import (
-    ClientShard,
     FederatedDataset,
     IdxCountMismatchError,
     IdxMagicError,
@@ -19,7 +18,7 @@ from fedcost.datagen import (
 
 def test_shard_size_mean_matches_request():
     ds = gen_synthetic(1, 1, 100, 245, 362, seed=7)
-    sizes = np.array([s.n_k for s in ds.shards])
+    sizes = ds.sizes
     assert abs(sizes.mean() - 245) / 245 < 0.20
     assert sizes.min() >= 1
 
@@ -27,7 +26,7 @@ def test_shard_size_mean_matches_request():
 def test_weights_sum_to_one_and_track_counts(small_dataset):
     w = small_dataset.weights
     assert abs(w.sum() - 1.0) < 1e-12
-    counts = np.array([s.n_k for s in small_dataset.shards])
+    counts = small_dataset.sizes
     np.testing.assert_allclose(w, counts / counts.sum(), rtol=0, atol=0)
 
 
@@ -35,27 +34,26 @@ def test_zero_heterogeneity_shares_labeling_model():
     # alpha = beta = 0 collapses every client's model to the same one, so
     # the labeling rule is identical across clients (inputs stay noisy).
     ds = gen_synthetic(0, 0, 2, 50, 0, seed=3)
-    all_labels = np.concatenate([s.labels for s in ds.shards])
-    assert np.unique(all_labels).size == 1
+    assert np.unique(ds.labels).size == 1
 
 
 def test_generation_is_deterministic():
     a = gen_synthetic(1, 1, 5, 50, 20, seed=11)
     b = gen_synthetic(1, 1, 5, 50, 20, seed=11)
-    for sa, sb in zip(a.shards, b.shards):
-        assert sa.features.tobytes() == sb.features.tobytes()
-        assert sa.labels.tobytes() == sb.labels.tobytes()
+    assert a.features.tobytes() == b.features.tobytes()
+    assert a.labels.tobytes() == b.labels.tobytes()
+    assert a.sizes.tobytes() == b.sizes.tobytes()
 
 
 def test_different_seeds_differ():
     a = gen_synthetic(1, 1, 5, 50, 20, seed=11)
     b = gen_synthetic(1, 1, 5, 50, 20, seed=12)
-    assert a.shards[0].features.tobytes() != b.shards[0].features.tobytes()
+    assert a.shard(0)[0].tobytes() != b.shard(0)[0].tobytes()
 
 
 def test_input_variance_decays_with_coordinate():
     ds = gen_synthetic(1, 1, 30, 200, 50, seed=5)
-    per_coord = np.mean([s.features.var(axis=0) for s in ds.shards], axis=0)
+    per_coord = np.mean([ds.shard(k)[0].var(axis=0) for k in range(ds.n_clients)], axis=0)
     ranks = np.empty(per_coord.size)
     ranks[np.argsort(per_coord)] = np.arange(per_coord.size)
     corr = np.corrcoef(ranks, np.arange(per_coord.size))[0, 1]
@@ -82,21 +80,17 @@ def test_partition_exact_counts_and_labels():
     pool = _pool(per_label=900, n_labels=10)
     ds = partition_by_label(*pool, n_clients=30, labels_per_client=2, samples_per_client=300, seed=1)
     assert ds.n_clients == 30
-    for shard in ds.shards:
-        assert shard.n_k == 300
-        assert np.unique(shard.labels).size == 2
+    assert ds.sizes.tolist() == [300] * 30
+    for k in range(ds.n_clients):
+        assert np.unique(ds.shard(k)[1]).size == 2
     assert ds.n == 9000
 
 
 def test_partition_never_reuses_a_sample():
     pool = _pool(per_label=30, n_labels=4)
     ds = partition_by_label(*pool, n_clients=4, labels_per_client=2, samples_per_client=20, seed=2)
-    seen = set()
-    for shard in ds.shards:
-        for row in shard.features:
-            key = row.tobytes()
-            assert key not in seen
-            seen.add(key)
+    assert ds.n == 80
+    assert len({row.tobytes() for row in ds.features}) == 80
 
 
 def test_partition_single_label_pool_is_infeasible():
@@ -117,7 +111,7 @@ def test_partition_identity_when_one_client_takes_all():
                             samples_per_client=36, seed=4)
     assert ds.n_clients == 1
     want_rows = {row.tobytes() for row in features}
-    have_rows = {row.tobytes() for row in ds.shards[0].features}
+    have_rows = {row.tobytes() for row in ds.shard(0)[0]}
     assert have_rows == want_rows
 
 
@@ -144,43 +138,83 @@ def test_partition_properties(labels, n_clients, labels_per_client, samples_per_
         ds = partition_by_label(features, labels, **request)
     except PartitionError:
         return
-    rows = []
-    for shard in ds.shards:
-        assert shard.n_k == samples_per_client
-        assert np.unique(shard.labels).size == labels_per_client
-        src = shard.features[:, 0].astype(int)
-        np.testing.assert_array_equal(shard.labels, labels[src])
-        rows.extend(src.tolist())
-    assert len(rows) == len(set(rows))
+    assert ds.sizes.tolist() == [samples_per_client] * n_clients
+    for k in range(n_clients):
+        assert np.unique(ds.shard(k)[1]).size == labels_per_client
+    src = ds.features[:, 0].astype(int)
+    np.testing.assert_array_equal(ds.labels, labels[src])
+    assert np.unique(src).size == src.size
     again = partition_by_label(features, labels, **request)
-    for a, b in zip(ds.shards, again.shards):
-        assert a.features.tobytes() == b.features.tobytes()
-        assert a.labels.tobytes() == b.labels.tobytes()
-
-
-def _independent_shards():
-    rng = np.random.default_rng(8)
-    shards = [ClientShard(rng.standard_normal((n, 3)), rng.integers(0, 2, n)) for n in (4, 1, 9)]
-    return FederatedDataset(shards, 3, 2)
+    assert ds.features.tobytes() == again.features.tobytes()
+    assert ds.labels.tobytes() == again.labels.tobytes()
 
 
 @pytest.mark.parametrize("build", [
     lambda: gen_synthetic(1.0, 1.0, 7, 30, 20, seed=3),
     lambda: partition_by_label(*_pool(per_label=20, n_labels=4), n_clients=5,
                                labels_per_client=2, samples_per_client=12, seed=1),
-    _independent_shards,
-], ids=["gen_synthetic", "partition_by_label", "independent_arrays"])
+], ids=["gen_synthetic", "partition_by_label"])
 def test_shards_are_views_into_the_packed_rows(build):
     ds = build()
-    assert ds.offsets[0] == 0
-    np.testing.assert_array_equal(ds.offsets[1:], ds.offsets[:-1] + ds.sizes[:-1])
-    assert ds.sizes.sum() == ds.n == ds.features.shape[0] == ds.labels.shape[0]
-    for shard, start, n_k in zip(ds.shards, ds.offsets.tolist(), ds.sizes.tolist()):
-        assert shard.n_k == n_k
-        assert np.shares_memory(shard.features, ds.features[start:start + n_k])
-        assert np.shares_memory(shard.labels, ds.labels[start:start + n_k])
-        np.testing.assert_array_equal(shard.features, ds.features[start:start + n_k])
-        np.testing.assert_array_equal(shard.labels, ds.labels[start:start + n_k])
+    shards = [ds.shard(k) for k in range(ds.n_clients)]
+    for (x, y), n_k in zip(shards, ds.sizes.tolist()):
+        assert x.shape == (n_k, ds.n_features) and y.shape == (n_k,)
+        assert np.shares_memory(x, ds.features) and np.shares_memory(y, ds.labels)
+    np.testing.assert_array_equal(np.concatenate([x for x, _ in shards]), ds.features)
+    np.testing.assert_array_equal(np.concatenate([y for _, y in shards]), ds.labels)
+
+
+# each makes a valid (features, labels, sizes, n_classes) invalid
+_FAULTS = (
+    None, None, None, "short rows", "long rows", "extra label", "1-d features", "no client",
+    "empty client", "negative size", "label below 0", "label at C",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=6),
+    n_features=st.integers(1, 3),
+    n_classes=st.integers(1, 4),
+    fault=st.sampled_from(_FAULTS),
+    data=st.data(),
+)
+def test_packed_rows_are_validated_and_shard_into_views(sizes, n_features, n_classes, fault,
+                                                         data):
+    n = sum(sizes)
+    features = np.arange(n * n_features, dtype=float).reshape(n, n_features)
+    labels = np.array(data.draw(st.lists(st.integers(0, n_classes - 1), min_size=n,
+                                         max_size=n), label="labels"), dtype=np.int64)
+    if fault is not None:
+        if fault == "short rows":
+            features, labels = features[:-1], labels[:-1]
+        elif fault == "long rows":
+            features, labels = np.vstack([features, features[:1]]), np.append(labels, 0)
+        elif fault == "extra label":
+            labels = np.append(labels, 0)
+        elif fault == "1-d features":
+            features = features[:, 0]
+        elif fault == "no client":
+            features, labels, sizes = features[:0], labels[:0], []
+        elif fault == "empty client":
+            sizes = sizes + [0]
+        elif fault == "negative size":
+            sizes = [sizes[0] + 1] + sizes[1:] + [-1]
+        else:
+            row = data.draw(st.integers(0, n - 1), label="row")
+            labels[row] = -1 if fault == "label below 0" else n_classes
+        with pytest.raises(ValueError):
+            FederatedDataset(features, labels, sizes, n_classes)
+        return
+    ds = FederatedDataset(features, labels, sizes, n_classes)
+    assert (ds.n, ds.n_clients, ds.n_features) == (n, len(sizes), n_features)
+    np.testing.assert_array_equal(ds.offsets, np.cumsum(sizes) - sizes)
+    shards = [ds.shard(k) for k in range(ds.n_clients)]
+    for (x, y), n_k in zip(shards, sizes):
+        assert x.shape == (n_k, n_features) and y.shape == (n_k,)
+        assert np.shares_memory(x, ds.features) and np.shares_memory(y, ds.labels)
+    np.testing.assert_array_equal(np.concatenate([x for x, _ in shards]), features)
+    np.testing.assert_array_equal(np.concatenate([y for _, y in shards]), labels)
 
 
 def test_load_idx_roundtrip(tmp_path):
@@ -222,10 +256,3 @@ def test_load_idx_count_mismatch(tmp_path):
                          label_count=9)
     with pytest.raises(IdxCountMismatchError):
         load_idx(img, lab)
-
-
-def test_shard_validation():
-    with pytest.raises(ValueError):
-        ClientShard(np.zeros((0, 3)), np.zeros(0, dtype=int))
-    with pytest.raises(ValueError):
-        ClientShard(np.zeros((2, 3)), np.zeros(3, dtype=int))

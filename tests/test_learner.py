@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedcost.datagen import ClientShard, FederatedDataset
+from fedcost.datagen import FederatedDataset
 from fedcost.learner import (
     ModelParams,
     TrainConfig,
@@ -20,13 +20,20 @@ from fedcost.scheduler import Strategy, round_time
 from fedcost.system import draw_round_costs, sample_profile
 
 
+def packed(shards, n_classes):
+    """A dataset over independent (features, labels) shard arrays."""
+    return FederatedDataset(
+        np.concatenate([x for x, _ in shards]),
+        np.concatenate([y for _, y in shards]),
+        [y.size for _, y in shards],
+        n_classes,
+    )
+
+
 def scalar_dataset(counts, values=None):
     """1-feature, 2-class dataset with given shard sizes (for weight math)."""
-    shards = []
     rng = np.random.default_rng(0)
-    for n in counts:
-        shards.append(ClientShard(rng.standard_normal((n, 1)), rng.integers(0, 2, n)))
-    return FederatedDataset(shards, 1, 2)
+    return packed([(rng.standard_normal((n, 1)), rng.integers(0, 2, n)) for n in counts], 2)
 
 
 def test_zero_model_loss_is_log_class_count(small_dataset):
@@ -36,22 +43,20 @@ def test_zero_model_loss_is_log_class_count(small_dataset):
 
 def test_single_client_loss_equals_local_loss():
     rng = np.random.default_rng(1)
-    shard = ClientShard(rng.standard_normal((25, 4)), rng.integers(0, 3, 25))
-    ds = FederatedDataset([shard], 4, 3)
+    x, y = rng.standard_normal((25, 4)), rng.integers(0, 3, 25)
+    ds = FederatedDataset(x, y, [25], 3)
     m = ModelParams(rng.standard_normal((3, 4)), rng.standard_normal(3))
-    assert global_loss(m, ds) == pytest.approx(
-        mean_cross_entropy(m, shard.features, shard.labels), rel=1e-15
-    )
+    assert global_loss(m, ds) == pytest.approx(mean_cross_entropy(m, x, y), rel=1e-15)
 
 
 def test_equal_clients_average_their_losses():
     rng = np.random.default_rng(2)
-    a = ClientShard(rng.standard_normal((10, 4)), rng.integers(0, 3, 10))
-    b = ClientShard(rng.standard_normal((10, 4)), rng.integers(0, 3, 10))
-    ds = FederatedDataset([a, b], 4, 3)
+    a = (rng.standard_normal((10, 4)), rng.integers(0, 3, 10))
+    b = (rng.standard_normal((10, 4)), rng.integers(0, 3, 10))
+    ds = packed([a, b], 3)
     m = ModelParams(rng.standard_normal((3, 4)), rng.standard_normal(3))
-    la = mean_cross_entropy(m, a.features, a.labels)
-    lb = mean_cross_entropy(m, b.features, b.labels)
+    la = mean_cross_entropy(m, *a)
+    lb = mean_cross_entropy(m, *b)
     assert global_loss(m, ds) == pytest.approx((la + lb) / 2, rel=1e-14)
 
 
@@ -62,7 +67,7 @@ def test_global_loss_rejects_dimension_mismatch(small_dataset):
 
 def test_local_sgd_zero_learning_rate_is_identity(small_dataset):
     m = ModelParams.zeros(small_dataset.n_classes, small_dataset.n_features)
-    out = local_sgd(m, small_dataset.shards[0], 5, 0.0, 8, np.random.default_rng(0))
+    out = local_sgd(m, *small_dataset.shard(0), 5, 0.0, 8, np.random.default_rng(0))
     np.testing.assert_array_equal(out.weights, m.weights)
     np.testing.assert_array_equal(out.bias, m.bias)
 
@@ -71,27 +76,27 @@ def test_local_sgd_hand_gradient_step():
     # zero model, two classes, one sample x = e1 with label 0, lr = 0.1:
     # softmax is (0.5, 0.5), so row 0 gains +0.05 on the first coordinate
     # and row 1 loses 0.05.
-    shard = ClientShard(np.eye(1, 4), np.array([0]))
-    out = local_sgd(ModelParams.zeros(2, 4), shard, 1, 0.1, 8, np.random.default_rng(0))
+    out = local_sgd(ModelParams.zeros(2, 4), np.eye(1, 4), np.array([0]), 1, 0.1, 8,
+                    np.random.default_rng(0))
     np.testing.assert_allclose(out.weights[0], [0.05, 0, 0, 0], atol=1e-15)
     np.testing.assert_allclose(out.weights[1], [-0.05, 0, 0, 0], atol=1e-15)
 
 
 def test_local_sgd_steps_compose(small_dataset):
-    shard = small_dataset.shards[1]
+    x, y = small_dataset.shard(1)
     m = ModelParams.zeros(small_dataset.n_classes, small_dataset.n_features)
     rng_a = np.random.default_rng(42)
-    two = local_sgd(m, shard, 2, 0.05, 4, rng_a)
+    two = local_sgd(m, x, y, 2, 0.05, 4, rng_a)
     rng_b = np.random.default_rng(42)
-    one = local_sgd(m, shard, 1, 0.05, 4, rng_b)
-    again = local_sgd(one, shard, 1, 0.05, 4, rng_b)
+    one = local_sgd(m, x, y, 1, 0.05, 4, rng_b)
+    again = local_sgd(one, x, y, 1, 0.05, 4, rng_b)
     np.testing.assert_array_equal(two.weights, again.weights)
     np.testing.assert_array_equal(two.bias, again.bias)
 
 
 def test_local_sgd_leaves_input_untouched(small_dataset):
     m = ModelParams.zeros(small_dataset.n_classes, small_dataset.n_features)
-    local_sgd(m, small_dataset.shards[0], 3, 0.1, 8, np.random.default_rng(0))
+    local_sgd(m, *small_dataset.shard(0), 3, 0.1, 8, np.random.default_rng(0))
     assert not m.weights.any() and not m.bias.any()
 
 
@@ -232,7 +237,7 @@ def test_fedavg_matches_centralized_gd_on_identical_shards():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((30, 8))
     y = rng.integers(0, 3, 30)
-    ds = FederatedDataset([ClientShard(x.copy(), y.copy()) for _ in range(6)], 8, 3)
+    ds = FederatedDataset(np.tile(x, (6, 1)), np.tile(y, 6), [30] * 6, 3)
     profile = sample_profile(6, 0.5, 0.1, 0.01, 0.2, 0.02, 0.0, seed=4)
     for k in (1, 3, 6):
         model, _ = run_fedavg(
@@ -309,14 +314,15 @@ def per_client_fedavg(dataset, profile, config):
         ids = np.sort(sampling.choice(dataset.n_clients, size=config.k, replace=False))
         lr = config.eta0 / (1.0 + r)
         updates = [
-            (int(cid), local_sgd(model, dataset.shards[cid], config.e, lr, config.batch_size,
+            (int(cid), local_sgd(model, *dataset.shard(cid), config.e, lr, config.batch_size,
                                  stream(2, r, int(cid))))
             for cid in ids
         ]
         model = aggregate(updates, dataset)
         loss = 0.0
-        for shard in dataset.shards:
-            loss += shard.n_k * mean_cross_entropy(model, shard.features, shard.labels)
+        for k in range(dataset.n_clients):
+            x, y = dataset.shard(k)
+            loss += y.size * mean_cross_entropy(model, x, y)
         loss /= dataset.n
         t_draw, e_draw = draw_round_costs(profile, ids, stream(1, r))
         energy = float(np.sum(profile.e_comp[ids] * config.e + e_draw))
@@ -340,11 +346,10 @@ def assert_engine_equals_per_client_loop(dataset, config):
 
 def mixed_dataset(sizes, n_features, n_classes, seed):
     rng = np.random.default_rng(seed)
-    shards = [
-        ClientShard(rng.standard_normal((n, n_features)), rng.integers(0, n_classes, n))
-        for n in sizes
-    ]
-    return FederatedDataset(shards, n_features, n_classes)
+    return packed(
+        [(rng.standard_normal((n, n_features)), rng.integers(0, n_classes, n)) for n in sizes],
+        n_classes,
+    )
 
 
 # batch size 8: shards of 1, B-1, B, B+1 and many B rows; the first five take
