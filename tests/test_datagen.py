@@ -149,11 +149,21 @@ def test_partition_properties(labels, n_clients, labels_per_client, samples_per_
     assert ds.labels.tobytes() == again.labels.tobytes()
 
 
+def _independent_shards():
+    # shards drawn as separate arrays, then packed in client order
+    rng = np.random.default_rng(8)
+    sizes = (4, 1, 9)
+    features = np.concatenate([rng.standard_normal((n, 3)) for n in sizes])
+    labels = np.concatenate([rng.integers(0, 2, n) for n in sizes])
+    return FederatedDataset(features, labels, sizes, 2)
+
+
 @pytest.mark.parametrize("build", [
     lambda: gen_synthetic(1.0, 1.0, 7, 30, 20, seed=3),
     lambda: partition_by_label(*_pool(per_label=20, n_labels=4), n_clients=5,
                                labels_per_client=2, samples_per_client=12, seed=1),
-], ids=["gen_synthetic", "partition_by_label"])
+    _independent_shards,
+], ids=["gen_synthetic", "partition_by_label", "independent_arrays"])
 def test_shards_are_views_into_the_packed_rows(build):
     ds = build()
     shards = [ds.shard(k) for k in range(ds.n_clients)]
@@ -256,3 +266,12 @@ def test_load_idx_count_mismatch(tmp_path):
                          label_count=9)
     with pytest.raises(IdxCountMismatchError):
         load_idx(img, lab)
+
+
+def test_shard_validation():
+    # an empty client shard
+    with pytest.raises(ValueError, match="at least one sample"):
+        FederatedDataset(np.zeros((2, 3)), np.zeros(2, dtype=int), [2, 0], 1)
+    # a shard with more labels than rows
+    with pytest.raises(ValueError, match="one label per row"):
+        FederatedDataset(np.zeros((2, 3)), np.zeros(3, dtype=int), [2], 1)
