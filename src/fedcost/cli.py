@@ -25,30 +25,29 @@ _DATA_KEY, _PROFILE_KEY, _TRAIN_KEY, _PILOT_KEY = ((100, domain) for domain in r
 
 
 def build_dataset(config):
-    seed = sub_seed(config.seed, *_DATA_KEY)
-    kind = config.require("dataset.kind")
-    if kind == "synthetic":
+    seed = sub_seed(config["seed"], *_DATA_KEY)
+    if config["dataset.kind"] == "synthetic":
         return datagen.gen_synthetic(
-            alpha=config.get("dataset.alpha"),
-            beta=config.get("dataset.beta"),
-            n_clients=config.require("dataset.n_clients"),
-            size_mean=config.get("dataset.size_mean"),
-            size_std=config.get("dataset.size_std"),
+            alpha=config["dataset.alpha"],
+            beta=config["dataset.beta"],
+            n_clients=config["dataset.n_clients"],
+            size_mean=config["dataset.size_mean"],
+            size_std=config["dataset.size_std"],
             seed=seed,
-            n_features=config.get("dataset.dim"),
-            n_classes=config.get("dataset.classes"),
+            n_features=config["dataset.dim"],
+            n_classes=config["dataset.classes"],
         )
     return datagen.partition_by_label(
-        *datagen.load_idx(config.require("dataset.images"), config.require("dataset.labels")),
-        n_clients=config.require("dataset.n_clients"),
-        labels_per_client=config.get("dataset.labels_per_client"),
-        samples_per_client=config.require("dataset.samples_per_client"),
+        *datagen.load_idx(config["dataset.images"], config["dataset.labels"]),
+        n_clients=config["dataset.n_clients"],
+        labels_per_client=config["dataset.labels_per_client"],
+        samples_per_client=config["dataset.samples_per_client"],
         seed=seed,
     )
 
 
 def build_profile(config, n_clients):
-    path = config.get("system.profile")
+    path = config["system.profile"]
     if path is not None:
         profile = system.load_profile(path)
         if profile.n_clients != n_clients:
@@ -58,14 +57,14 @@ def build_profile(config, n_clients):
         return profile
     return system.sample_profile(
         n_clients=n_clients,
-        t_p_mean=config.get("system.t_p_mean"),
-        t_p_std=config.get("system.t_p_std"),
-        e_p_mean=config.get("system.e_p_mean"),
-        t_m_mean=config.get("system.t_m_mean"),
-        e_m_mean=config.get("system.e_m_mean"),
-        jitter=config.get("system.jitter"),
-        seed=sub_seed(config.seed, *_PROFILE_KEY),
-        comm_spread=config.get("system.comm_spread"),
+        t_p_mean=config["system.t_p_mean"],
+        t_p_std=config["system.t_p_std"],
+        e_p_mean=config["system.e_p_mean"],
+        t_m_mean=config["system.t_m_mean"],
+        e_m_mean=config["system.e_m_mean"],
+        jitter=config["system.jitter"],
+        seed=sub_seed(config["seed"], *_PROFILE_KEY),
+        comm_spread=config["system.comm_spread"],
     )
 
 
@@ -73,11 +72,11 @@ def build_train_config(config, k, e):
     return TrainConfig(
         k=k,
         e=e,
-        batch_size=config.get("train.batch_size"),
-        eta0=config.get("train.eta0"),
-        max_rounds=config.get("train.max_rounds"),
-        target_loss=config.get("train.target_loss"),
-        seed=sub_seed(config.seed, *_TRAIN_KEY),
+        batch_size=config["train.batch_size"],
+        eta0=config["train.eta0"],
+        max_rounds=config["train.max_rounds"],
+        target_loss=config["train.target_loss"],
+        seed=sub_seed(config["seed"], *_TRAIN_KEY),
     )
 
 
@@ -85,19 +84,19 @@ def _build(config):
     """The dataset, its fleet's profile and the fleet-averaged costs."""
     dataset = build_dataset(config)
     profile = build_profile(config, dataset.n_clients)
-    return dataset, profile, system.averaged_costs(profile, config.gamma)
+    return dataset, profile, system.averaged_costs(profile, config["gamma"])
 
 
 def _fleet_costs(config):
     """Averaged costs of the configured fleet, without building the dataset:
     every dataset kind has exactly dataset.n_clients shards."""
-    profile = build_profile(config, config.require("dataset.n_clients"))
-    return system.averaged_costs(profile, config.gamma)
+    profile = build_profile(config, config["dataset.n_clients"])
+    return system.averaged_costs(profile, config["gamma"])
 
 
 def _grid_ranges(config, n_clients):
-    k_max = min(config.get("control.k_max") or n_clients, n_clients)  # k_max defaults to N
-    return range(1, k_max + 1), range(1, config.get("control.e_max") + 1)
+    k_max = min(config["control.k_max"] or n_clients, n_clients)  # k_max defaults to N
+    return range(1, k_max + 1), range(1, config["control.e_max"] + 1)
 
 
 def _solve(config, dataset, profile, costs, rho, grid=False):
@@ -111,14 +110,14 @@ def _solve(config, dataset, profile, costs, rho, grid=False):
         # the run's training settings, seeded apart; each pilot sets its own
         # K, E, round cap, target loss and seed from them
         pilot_train = replace(
-            build_train_config(config, None, None), seed=sub_seed(config.seed, *_PILOT_KEY)
+            build_train_config(config, None, None), seed=sub_seed(config["seed"], *_PILOT_KEY)
         )
         estimate = optimizer.estimate_rho(
             EstimationPlan(
-                pairs=config.require("estimate.pairs"),
-                loss_a=config.require("estimate.loss_a"),
-                loss_b=config.require("estimate.loss_b"),
-                round_cap=config.get("estimate.round_cap"),
+                pairs=config["estimate.pairs"],
+                loss_a=config["estimate.loss_a"],
+                loss_b=config["estimate.loss_b"],
+                round_cap=config["estimate.round_cap"],
             ),
             dataset,
             profile,
@@ -144,24 +143,26 @@ def _write_solution(out_dir, solution, rho, records, overhead):
 
 def cmd_run(config, out_dir):
     dataset, profile, costs = _build(config)
-    mode = config.require("mode")
+    mode = config["mode"]
     solved = None
     if mode == "fixed":
-        k, e = config.require("control.k"), config.require("control.e")
+        k, e = config["control.k"], config["control.e"]
     else:
-        solved = _solve(config, dataset, profile, costs, config.get("rho"), grid=mode == "grid")
+        solved = _solve(config, dataset, profile, costs, config["rho"], grid=mode == "grid")
         k, e = solved[0].k_star, solved[0].e_star
 
     _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
     if solved is not None:  # only once training has succeeded
         _write_solution(out_dir, *solved)
-    learner.export_traces(traces, os.path.join(out_dir, "traces.csv"), config.strategy)
+    learner.export_traces(
+        traces, os.path.join(out_dir, "traces.csv"), Strategy(config["scheduler"])
+    )
     print(f"run: K={k} E={e} rounds={len(traces)} final_loss={traces[-1].loss:.6f}")
     return 0
 
 
 def cmd_optimize(config, out_dir):
-    solved = _solve(config, *_build(config), config.get("rho"))
+    solved = _solve(config, *_build(config), config["rho"])
     _write_solution(out_dir, *solved)
     solution = solved[0]
     print(
@@ -181,16 +182,16 @@ def cmd_estimate(config, out_dir):
 
 def cmd_compare_schedulers(config, out_dir):
     dataset, profile, _ = _build(config)
-    target = config.require("train.target_loss")
-    variable = config.require("sweep.variable").lower()
-    values = config.require("sweep.values")
+    target = config["train.target_loss"]
+    variable = config["sweep.variable"]
+    values = config["sweep.values"]
 
     rows = []
     for value in values:
         if variable == "e":
-            k, e = config.require("sweep.k"), value
+            k, e = config["sweep.k"], value
         else:
-            k, e = value, config.require("sweep.e")
+            k, e = value, config["sweep.e"]
         _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
         reached = traces[-1].loss <= target
         for strategy in Strategy:
@@ -207,7 +208,7 @@ def cmd_compare_schedulers(config, out_dir):
 
 def cmd_validate_properties(config, out_dir):
     costs = _fleet_costs(config)
-    coeffs = ConvergenceCoeffs(rho=config.require("rho"), n_clients=costs.n_clients)
+    coeffs = ConvergenceCoeffs(rho=config["rho"], n_clients=costs.n_clients)
     findings = optimizer.verify_properties(costs, coeffs)
     optimizer.write_properties_csv(findings, os.path.join(out_dir, "properties.csv"))
     failed = [f.name for f in findings if not f.passed]
@@ -220,7 +221,7 @@ def cmd_validate_properties(config, out_dir):
 
 def cmd_cost_surface(config, out_dir):
     costs = _fleet_costs(config)
-    coeffs = ConvergenceCoeffs(rho=config.require("rho"), n_clients=costs.n_clients)
+    coeffs = ConvergenceCoeffs(rho=config["rho"], n_clients=costs.n_clients)
     k_range, e_range = _grid_ranges(config, costs.n_clients)
     costmodel.dump_cost_surface(
         os.path.join(out_dir, "cost_surface.csv"), costs, coeffs, k_range, e_range
@@ -276,13 +277,13 @@ def main(argv=None):
     try:
         config = parse_config(args.config)
         if args.seed is not None:
-            config.raw["seed"] = args.seed
+            config["seed"] = args.seed
         if args.out is not None:
-            config.raw["out"] = args.out
+            config["out"] = args.out
         problems = needs_for_command(config, args.command)
         if problems:
             raise ConfigError(problems)
-        out_dir = config.out
+        out_dir = config["out"]
         created = _missing_dirs(out_dir)
         os.makedirs(out_dir, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir)

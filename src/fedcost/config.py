@@ -3,10 +3,9 @@
 Lines are `key = value`; blank lines and `#` comments are ignored.  Keys are
 dotted (dataset.*, system.*, train.*, control.*, estimate.*, sweep.*) and
 fully enumerated in SCHEMA below; unknown keys are hard errors, and every
-violation found is reported, not just the first.
+violation found is reported, not just the first.  Each key's SCHEMA parser
+is the one place that converts and checks its value.
 """
-
-from dataclasses import dataclass, field
 
 from .scheduler import Strategy
 
@@ -19,32 +18,53 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  - " + "\n  - ".join(self.problems))
 
 
-def _to_int_list(text):
-    return [int(tok) for tok in text.replace(",", " ").split()]
+def _checked(parse, ok, reason):
+    """A parser that converts with `parse`, then rejects values failing `ok`."""
+
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(reason)
+        return value
+
+    return check
 
 
-def _to_pairs(text):
-    pairs = []
-    for tok in text.replace(",", " ").split():
-        k, _, e = tok.partition(":")
-        if not _:
-            raise ValueError(f"expected K:E, got {tok!r}")
-        pairs.append((int(k), int(e)))
-    return pairs
+def _choice(*choices, parse=str):
+    return _checked(parse, lambda v: v in choices, "must be one of: " + ", ".join(choices))
+
+
+_count = _checked(int, lambda v: v >= 1, "must be >= 1")
+
+
+def _split(item):
+    """A parser of a list of `item`s, split at commas and whitespace."""
+    return lambda text: [item(tok) for tok in text.replace(",", " ").split()]
+
+
+def _pair(tok):
+    k, colon, e = tok.partition(":")
+    if not colon:
+        raise ValueError(f"expected K:E, got {tok!r}")
+    return _count(k), _count(e)
+
+
+_counts = _checked(_split(_count), bool, "needs at least one value")
+_pairs = _checked(_split(_pair), lambda v: len(v) >= 2, "needs at least two K:E pairs")
 
 
 # key -> (parser, default); a default of None means the key has none, so a
 # command that needs the key requires it (see needs_for_command).
 # control.k_max has the one derived default: N, the dataset's client count.
 SCHEMA = {
-    "mode": (str, None),
+    "mode": (_choice("fixed", "optimize", "grid"), None),
     "seed": (int, 0),
     "out": (str, "out"),
-    "gamma": (float, None),
-    "rho": (float, None),
-    "scheduler": (str, "optimal-ts"),
-    "dataset.kind": (str, None),
-    "dataset.n_clients": (int, None),
+    "gamma": (_checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]"), None),
+    "rho": (_checked(float, lambda v: v > 0, "must be > 0"), None),
+    "scheduler": (lambda text: Strategy.parse(text).value, "optimal-ts"),
+    "dataset.kind": (_choice("synthetic", "idx"), None),
+    "dataset.n_clients": (_count, None),
     "dataset.alpha": (float, 1.0),
     "dataset.beta": (float, 1.0),
     "dataset.size_mean": (float, 100.0),
@@ -63,61 +83,30 @@ SCHEMA = {
     "system.e_m_mean": (float, 0.02),
     "system.jitter": (float, 0.1),
     "system.comm_spread": (float, 0.2),
-    "train.batch_size": (int, 64),
+    "train.batch_size": (_count, 64),
     "train.eta0": (float, 0.1),
-    "train.max_rounds": (int, 300),
+    "train.max_rounds": (_count, 300),
     "train.target_loss": (float, None),
-    "control.k": (int, None),
-    "control.e": (int, None),
-    "control.k_max": (int, None),
-    "control.e_max": (int, 100),
-    "estimate.pairs": (_to_pairs, None),
+    "control.k": (_count, None),
+    "control.e": (_count, None),
+    "control.k_max": (_count, None),
+    "control.e_max": (_count, 100),
+    "estimate.pairs": (_pairs, None),
     "estimate.loss_a": (float, None),
     "estimate.loss_b": (float, None),
-    "estimate.round_cap": (int, 500),
-    "sweep.variable": (str, None),
-    "sweep.values": (_to_int_list, None),
-    "sweep.k": (int, None),
-    "sweep.e": (int, None),
+    "estimate.round_cap": (_count, 500),
+    "sweep.variable": (_choice("k", "e", parse=str.lower), None),
+    "sweep.values": (_counts, None),
+    "sweep.k": (_count, None),
+    "sweep.e": (_count, None),
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Typed view of one experiment file; raw holds the parsed key/values."""
-
-    raw: dict = field(default_factory=dict)
-
-    def get(self, key):
-        """The key's parsed value, or its SCHEMA default."""
-        return self.raw[key] if key in self.raw else SCHEMA[key][1]
-
-    def require(self, key):
-        if key not in self.raw:
-            raise ConfigError([f"missing required key: {key}"])
-        return self.raw[key]
-
-    @property
-    def seed(self):
-        return self.get("seed")
-
-    @property
-    def out(self):
-        return self.get("out")
-
-    @property
-    def gamma(self):
-        return self.require("gamma")
-
-    @property
-    def strategy(self):
-        return Strategy.parse(self.get("scheduler"))
-
-
 def parse_config(path):
-    """Parse and statically validate one config file."""
+    """Parse one config file into the resolved config: a dict that holds
+    every SCHEMA key, set from the file or else to its default."""
     problems = []
-    raw = {}
+    parsed = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -132,44 +121,16 @@ def parse_config(path):
             if key not in SCHEMA:
                 problems.append(f"line {lineno}: unknown key {key!r}")
                 continue
-            if key in raw:
+            if key in parsed:
                 problems.append(f"line {lineno}: duplicate key {key!r}")
                 continue
             try:
-                raw[key] = SCHEMA[key][0](value)
+                parsed[key] = SCHEMA[key][0](value)
             except ValueError as exc:
                 problems.append(f"line {lineno}: bad value for {key}: {exc}")
-    problems.extend(_static_problems(raw))
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(raw=raw)
-
-
-def _static_problems(raw):
-    problems = []
-    if "gamma" in raw and not 0.0 <= raw["gamma"] <= 1.0:
-        problems.append("gamma must lie in [0, 1]")
-    if "rho" in raw and raw["rho"] <= 0:
-        problems.append("rho must be > 0")
-    if "mode" in raw and raw["mode"] not in ("fixed", "optimize", "grid"):
-        problems.append("mode must be one of: fixed, optimize, grid")
-    if "scheduler" in raw:
-        try:
-            Strategy.parse(raw["scheduler"])
-        except ValueError as exc:
-            problems.append(str(exc))
-    if "dataset.kind" in raw and raw["dataset.kind"] not in ("synthetic", "idx"):
-        problems.append("dataset.kind must be 'synthetic' or 'idx'")
-    if "sweep.variable" in raw and raw["sweep.variable"].lower() not in ("k", "e"):
-        problems.append("sweep.variable must be 'k' or 'e'")
-    if "estimate.pairs" in raw and len(raw["estimate.pairs"]) < 2:
-        problems.append("estimate.pairs needs at least two K:E pairs")
-    for key in ("dataset.n_clients", "train.batch_size", "train.max_rounds",
-                "control.k", "control.e", "control.k_max", "control.e_max",
-                "estimate.round_cap", "sweep.k", "sweep.e"):
-        if key in raw and raw[key] < 1:
-            problems.append(f"{key} must be >= 1")
-    return problems
+    return {key: parsed.get(key, default) for key, (_, default) in SCHEMA.items()}
 
 
 # the commands that build the dataset; the others take N from dataset.n_clients
@@ -177,45 +138,57 @@ _BUILDS_DATASET = ("run", "optimize", "estimate", "compare-schedulers")
 
 
 def needs_for_command(config, command):
-    """Per-command requirement check; returns a list of problems."""
+    """Per-command requirement check on the resolved config, where an absent
+    key reads None; returns a list of problems.  Every K the command would
+    train at must lie within dataset.n_clients."""
     problems = []
-    raw = config.raw
 
     def need(*keys):
-        problems.extend(f"missing required key: {k}" for k in keys if k not in raw)
+        problems.extend(f"missing required key: {k}" for k in keys if config[k] is None)
+
+    def within_n(key, *ks):
+        n = config["dataset.n_clients"]
+        problems.extend(
+            f"{key}: K = {k} exceeds dataset.n_clients = {n}" for k in ks if n and k and k > n
+        )
 
     need("gamma", "dataset.kind", "dataset.n_clients")
-    if raw.get("dataset.kind") == "idx" and command in _BUILDS_DATASET:
+    if config["dataset.kind"] == "idx" and command in _BUILDS_DATASET:
         need("dataset.images", "dataset.labels", "dataset.samples_per_client")
 
-    has_rho = "rho" in raw
-    has_plan = all(k in raw for k in ("estimate.pairs", "estimate.loss_a", "estimate.loss_b"))
+    has_rho = config["rho"] is not None
+    has_plan = all(
+        config[k] is not None for k in ("estimate.pairs", "estimate.loss_a", "estimate.loss_b")
+    )
 
     if command == "run":
         need("mode")
-        mode = raw.get("mode")
+        mode = config["mode"]
         if mode == "fixed":
             need("control.k", "control.e")
+            within_n("control.k", config["control.k"])
         elif mode in ("optimize", "grid") and not (has_rho or has_plan):
             problems.append(
                 "mode=%s needs rho or a complete estimation plan "
                 "(estimate.pairs, estimate.loss_a, estimate.loss_b)" % mode
             )
-    elif command == "optimize":
-        if not (has_rho or has_plan):
-            problems.append("optimize needs rho or a complete estimation plan")
-    elif command == "estimate":
-        if not has_plan:
-            problems.append(
-                "estimate needs estimate.pairs, estimate.loss_a and estimate.loss_b"
-            )
+    elif command == "optimize" and not (has_rho or has_plan):
+        problems.append("optimize needs rho or a complete estimation plan")
+    elif command == "estimate" and not has_plan:
+        problems.append(
+            "estimate needs estimate.pairs, estimate.loss_a and estimate.loss_b"
+        )
     elif command == "compare-schedulers":
         need("sweep.variable", "sweep.values", "train.target_loss")
-        if raw.get("sweep.variable", "").lower() == "e":
+        if config["sweep.variable"] == "e":
             need("sweep.k")
-        elif raw.get("sweep.variable", "").lower() == "k":
+            within_n("sweep.k", config["sweep.k"])
+        elif config["sweep.variable"] == "k":
             need("sweep.e")
-    elif command in ("validate-properties", "cost-surface"):
-        if not has_rho:
-            problems.append(f"{command} needs rho")
+            within_n("sweep.values", *(config["sweep.values"] or ()))
+    elif command in ("validate-properties", "cost-surface") and not has_rho:
+        problems.append(f"{command} needs rho")
+    solves = command == "optimize" or command == "run" and config["mode"] in ("optimize", "grid")
+    if command == "estimate" or solves and not has_rho:  # the pilots train
+        within_n("estimate.pairs", *(k for k, _ in config["estimate.pairs"] or ()))
     return problems

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib
 import inspect
+import json
 import os
 import tracemalloc
 
@@ -61,11 +62,15 @@ def test_unknown_key_is_a_hard_error(tmp_path):
 
 
 def test_all_violations_are_listed(tmp_path):
-    cfg = write_config(tmp_path, "gamma = 1.5\nmode = sideways\nrho = -2\n")
+    cfg = write_config(tmp_path, "gamma = 1.5\nmode = sideways\n\nrho = -2\ncontrol.k = 0\n")
     with pytest.raises(ConfigError) as err:
         parse_config(cfg)
-    text = str(err.value)
-    assert "gamma" in text and "mode" in text and "rho" in text
+    assert err.value.problems == [
+        "line 1: bad value for gamma: must lie in [0, 1]",
+        "line 2: bad value for mode: must be one of: fixed, optimize, grid",
+        "line 4: bad value for rho: must be > 0",
+        "line 5: bad value for control.k: must be >= 1",
+    ]
 
 
 def test_missing_keys_reported_per_command(tmp_path):
@@ -323,6 +328,104 @@ def test_cost_model_commands_need_no_idx_paths(tmp_path):
             "missing required key: dataset.samples_per_client"} <= set(problems)
 
 
+def test_empty_sweep_values_fails_before_any_output(tmp_path, capsys):
+    body = BASE.format(gamma=0.0) + SWEEP_K.replace("sweep.values = 1 2 4 8", "sweep.values =")
+    out = tmp_path / "out"
+    assert main(["compare-schedulers", "--config", write_config(tmp_path, body),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: invalid configuration:"
+    ]
+    assert "line 15: bad value for sweep.values: needs at least one value" in err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, body, key", [
+    ("compare-schedulers", SWEEP_K.replace("1 2 4 8", "2 4 9"), "sweep.values"),
+    ("compare-schedulers", "train.target_loss = 1.9\nsweep.variable = e\nsweep.values = 5\n"
+                           "sweep.k = 9\n", "sweep.k"),
+    ("run", FIXED.replace("control.k = 4", "control.k = 9"), "control.k"),
+    ("estimate", PLAN.replace("8:20", "9:20"), "estimate.pairs"),
+    ("run", PLAN.replace("8:20", "9:20") + "mode = grid\n", "estimate.pairs"),
+], ids=["sweep-values", "sweep-k", "control-k", "estimate", "run-grid"])
+def test_k_above_n_fails_before_any_training(tmp_path, capsys, monkeypatch, command, body, key):
+    # N = 8: each of these configs trains at K = 9 somewhere
+    calls = []
+    for module in ("cli", "learner", "optimizer"):
+        monkeypatch.setattr(f"fedcost.{module}.run_fedavg", lambda *a, **kw: calls.append(a))
+    cfg = write_config(tmp_path, BASE.format(gamma=0.5) + body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert f"{key}: K = 9 exceeds dataset.n_clients = 8" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command, body, problem", [
+    ("run", "mode = optimize\n", "mode=optimize needs rho or a complete estimation plan"),
+    ("run", "mode = grid\nestimate.pairs = 1:2 3:4\n", "mode=grid needs rho"),
+    ("optimize", "", "optimize needs rho or a complete estimation plan"),
+    ("estimate", "rho = 100\n", "estimate needs estimate.pairs, estimate.loss_a"),
+    ("validate-properties", "", "validate-properties needs rho"),
+    ("cost-surface", PLAN, "cost-surface needs rho"),
+])
+def test_commands_reject_a_missing_rho_or_plan(tmp_path, command, body, problem):
+    cfg = write_config(tmp_path, BASE.format(gamma=0.5) + body)
+    problems = needs_for_command(parse_config(cfg), command)
+    assert len(problems) == 1 and problems[0].startswith(problem)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+def write_profile(tmp_path, n_clients):
+    """A homogeneous, jitter-free profile: every round's costs are exact."""
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({
+        "n_clients": n_clients, "t_comp": [0.5] * n_clients, "e_comp": [0.01] * n_clients,
+        "comm_time_mean": [0.2] * n_clients, "comm_energy_mean": [0.02] * n_clients,
+        "jitter": 0.0,
+    }))
+    return str(path)
+
+
+def test_run_prices_rounds_from_a_profile_file(tmp_path):
+    body = BASE.format(gamma=0.5) + FIXED + f"system.profile = {write_profile(tmp_path, 8)}\n"
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", write_config(tmp_path, body), "--out", out]) == 0
+    rows = [line.split(",") for line in read(out, "traces.csv").splitlines()[1:]]
+    assert rows
+    for row in rows:
+        # K = 4 clients compute E = 10 steps of 0.5 s, then upload 0.2 s each in turn
+        assert float(row[2]) == pytest.approx(10 * 0.5 + 4 * 0.2)
+        assert float(row[3]) == pytest.approx(4 * (10 * 0.01 + 0.02))
+
+
+def test_profile_file_of_another_fleet_size_is_a_config_error(tmp_path, capsys):
+    body = BASE.format(gamma=0.5) + FIXED + f"system.profile = {write_profile(tmp_path, 5)}\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, body), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "system.profile has 5 clients, dataset has 8" in err
+    assert not os.path.exists(out)
+
+
+def test_compare_schedulers_sweeps_e(tmp_path):
+    # the shipped compare_schedulers.cfg sweeps E at a fixed K; the variable
+    # is lowercased once, when the config is parsed
+    body = BASE.format(gamma=0.0) + (
+        "train.target_loss = 1.9\nsweep.variable = E\nsweep.values = 2, 5\nsweep.k = 3\n"
+    )
+    out = str(tmp_path / "out")
+    assert main(["compare-schedulers", "--config", write_config(tmp_path, body), "--out", out]) == 0
+    rows = [line.split(",") for line in read(out, "schedulers.csv").splitlines()[1:]]
+    assert [(r[0], r[1], r[2]) for r in rows] == [
+        (s, "e", v) for v in ("2", "5") for s in ("optimal-ts", "wait-all-ts", "static-fs")
+    ]
+    for point in (rows[:3], rows[3:]):
+        totals = [float(r[3]) for r in point]
+        assert totals[0] <= min(totals[1:]) + 1e-9
+        assert len({r[4] for r in point}) == 1  # one trajectory per point
+
+
 def test_validate_properties_writes_findings(tmp_path):
     body = BASE.format(gamma=0.5) + f"rho = 1850\nout = {tmp_path/'out'}\n"
     cfg = write_config(tmp_path, body)
@@ -414,10 +517,14 @@ def readme_config_defaults():
 
 
 def test_defaults_agree(tmp_path):
+    # the resolved config holds every SCHEMA key; each one BASE leaves unset
+    # reads its default
     config = parse_config(write_config(tmp_path, BASE.format(gamma=0.5)))
+    assert list(config) == list(SCHEMA)
+    set_keys = {line.split("=")[0].strip() for line in BASE.splitlines() if "=" in line}
     for key, (parser, default) in SCHEMA.items():
-        if key not in config.raw:
-            assert config.get(key) == default, key
+        if key not in set_keys:
+            assert config[key] == default, key
         if default is not None:
             assert parser(str(default)) == default, key
 

@@ -36,6 +36,19 @@ def test_averaged_costs_match_profile_exactly():
     assert c.gamma == 0.3 and c.n_clients == 50
 
 
+def test_wide_spread_redraws_to_positive_repeatable_draws():
+    # at std = 10 x mean about 46% of plain normal draws are <= 0, so the
+    # truncated draw must redraw them
+    assert np.mean(np.random.default_rng(0).normal(0.05, 0.5, 10_000) <= 0) > 0.4
+    p = sample_profile(200, 0.05, 0.5, 0.01, 0.2, 0.02, 0.1, seed=4)
+    q = sample_profile(200, 0.05, 0.5, 0.01, 0.2, 0.02, 0.1, seed=4)
+    assert np.all(p.t_comp > 0) and np.all(p.e_comp > 0)
+    np.testing.assert_array_equal(p.t_comp, q.t_comp)
+    np.testing.assert_array_equal(p.e_comp, q.e_comp)
+    # truncating to (0, inf) lifts the mean well above the untruncated one
+    assert p.t_comp.mean() > 0.2
+
+
 def test_rejects_non_positive_means():
     with pytest.raises(ValueError):
         sample_profile(10, 0.0, 0.1, 0.01, 0.2, 0.02, 0.1, seed=0)
