@@ -195,7 +195,11 @@ def cmd_compare_schedulers(config, out_dir):
         _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
         reached = traces[-1].loss <= target
         for strategy in Strategy:
-            total = sum(round_time(t.job, strategy) for t in traces)
+            # left to right in round order: from Python 3.12 the builtin
+            # sum() is compensated, which would change the last bits
+            total = 0.0
+            for t in traces:
+                total += round_time(t.job, strategy)
             rows.append([strategy.value, variable, value, total, len(traces), reached])
     write_csv(
         os.path.join(out_dir, "schedulers.csv"),
@@ -277,6 +281,8 @@ def main(argv=None):
     try:
         config = parse_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError([f"bad value for --seed: must be >= 0, got {args.seed}"])
             config["seed"] = args.seed
         if args.out is not None:
             config["out"] = args.out

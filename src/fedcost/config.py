@@ -7,6 +7,8 @@ violation found is reported, not just the first.  Each key's SCHEMA parser
 is the one place that converts and checks its value.
 """
 
+import math
+
 from .scheduler import Strategy
 
 
@@ -34,7 +36,14 @@ def _choice(*choices, parse=str):
     return _checked(parse, lambda v: v in choices, "must be one of: " + ", ".join(choices))
 
 
-_count = _checked(int, lambda v: v >= 1, "must be >= 1")
+def _int_from(low):
+    return _checked(int, lambda v: v >= low, f"must be >= {low}")
+
+
+_count = _int_from(1)
+_finite = _checked(float, math.isfinite, "must be finite")
+_positive = _checked(_finite, lambda v: v > 0, "must be > 0")
+_non_negative = _checked(_finite, lambda v: v >= 0, "must be >= 0")
 
 
 def _split(item):
@@ -50,7 +59,9 @@ def _pair(tok):
 
 
 _counts = _checked(_split(_count), bool, "needs at least one value")
-_pairs = _checked(_split(_pair), lambda v: len(v) >= 2, "needs at least two K:E pairs")
+_pairs = _checked(
+    _split(_pair), lambda v: len(set(v)) == len(v) >= 2, "needs at least two distinct K:E pairs"
+)
 
 
 # key -> (parser, default); a default of None means the key has none, so a
@@ -58,33 +69,33 @@ _pairs = _checked(_split(_pair), lambda v: len(v) >= 2, "needs at least two K:E 
 # control.k_max has the one derived default: N, the dataset's client count.
 SCHEMA = {
     "mode": (_choice("fixed", "optimize", "grid"), None),
-    "seed": (int, 0),
+    "seed": (_int_from(0), 0),
     "out": (str, "out"),
     "gamma": (_checked(float, lambda v: 0 <= v <= 1, "must lie in [0, 1]"), None),
-    "rho": (_checked(float, lambda v: v > 0, "must be > 0"), None),
+    "rho": (_positive, None),
     "scheduler": (lambda text: Strategy.parse(text).value, "optimal-ts"),
     "dataset.kind": (_choice("synthetic", "idx"), None),
     "dataset.n_clients": (_count, None),
-    "dataset.alpha": (float, 1.0),
-    "dataset.beta": (float, 1.0),
-    "dataset.size_mean": (float, 100.0),
-    "dataset.size_std": (float, 50.0),
-    "dataset.dim": (int, 60),
-    "dataset.classes": (int, 10),
+    "dataset.alpha": (_non_negative, 1.0),
+    "dataset.beta": (_non_negative, 1.0),
+    "dataset.size_mean": (_positive, 100.0),
+    "dataset.size_std": (_non_negative, 50.0),
+    "dataset.dim": (_count, 60),
+    "dataset.classes": (_int_from(2), 10),
     "dataset.images": (str, None),
     "dataset.labels": (str, None),
-    "dataset.labels_per_client": (int, 2),
-    "dataset.samples_per_client": (int, None),
+    "dataset.labels_per_client": (_count, 2),
+    "dataset.samples_per_client": (_count, None),
     "system.profile": (str, None),
-    "system.t_p_mean": (float, 0.5),
-    "system.t_p_std": (float, 0.15),
-    "system.e_p_mean": (float, 0.01),
-    "system.t_m_mean": (float, 0.2),
-    "system.e_m_mean": (float, 0.02),
-    "system.jitter": (float, 0.1),
-    "system.comm_spread": (float, 0.2),
+    "system.t_p_mean": (_positive, 0.5),
+    "system.t_p_std": (_non_negative, 0.15),
+    "system.e_p_mean": (_positive, 0.01),
+    "system.t_m_mean": (_positive, 0.2),
+    "system.e_m_mean": (_positive, 0.02),
+    "system.jitter": (_non_negative, 0.1),
+    "system.comm_spread": (_non_negative, 0.2),
     "train.batch_size": (_count, 64),
-    "train.eta0": (float, 0.1),
+    "train.eta0": (_non_negative, 0.1),
     "train.max_rounds": (_count, 300),
     "train.target_loss": (float, None),
     "control.k": (_count, None),
@@ -191,4 +202,7 @@ def needs_for_command(config, command):
     solves = command == "optimize" or command == "run" and config["mode"] in ("optimize", "grid")
     if command == "estimate" or solves and not has_rho:  # the pilots train
         within_n("estimate.pairs", *(k for k, _ in config["estimate.pairs"] or ()))
+        loss_a, loss_b = config["estimate.loss_a"], config["estimate.loss_b"]
+        if has_plan and not loss_a > loss_b:
+            problems.append(f"estimate.loss_a = {loss_a} must exceed estimate.loss_b = {loss_b}")
     return problems

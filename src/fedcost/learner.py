@@ -72,7 +72,6 @@ class TrainConfig:
 
 @dataclass
 class RoundTrace:
-    round_index: int
     loss: float
     job: RoundJob
     energy_j: float
@@ -183,32 +182,27 @@ def local_sgd(model, features, labels, steps, lr, batch_size, rng):
     return ModelParams(w, b)
 
 
-def aggregate(updates, dataset):
+def aggregate(ids, weights, biases, dataset):
     """Shard-size-weighted average of client models, renormalized over the
-    sampled set.  Summation runs in client-id order so the float result does
-    not depend on the input ordering."""
-    if not updates:
-        raise ValueError("no updates to aggregate")
-    ids = [cid for cid, _ in updates]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate client ids in updates")
-    p = dataset.weights
-    n = dataset.n_clients
-    w_sum = None
-    b_sum = None
-    p_sum = 0.0
-    for cid, params in sorted(updates, key=lambda u: u[0]):
-        if not 0 <= cid < n:
-            raise ValueError(f"unknown client id {cid}")
-        pk = p[cid]
-        p_sum += pk
-        if w_sum is None:
-            w_sum = pk * params.weights
-            b_sum = pk * params.bias
-        else:
-            w_sum += pk * params.weights
-            b_sum += pk * params.bias
-    return ModelParams(w_sum / p_sum, b_sum / p_sum)
+    sampled set: stack entry j of weights (K, C, d) and biases (K, C) is
+    client ids[j]'s.  Sums run left to right in client-id order, so the
+    float result does not depend on the input ordering."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or ids.size == 0 or not len(weights) == len(biases) == ids.size:
+        raise ValueError("need one weight and one bias stack entry per client id")
+    order = np.argsort(ids)
+    ids = ids[order]
+    if np.any(ids[1:] == ids[:-1]) or ids[0] < 0 or ids[-1] >= dataset.n_clients:
+        raise ValueError(f"client ids must be distinct and lie in [0, {dataset.n_clients})")
+    p = dataset.weights[ids]
+    w = p[:, None, None] * weights[order]
+    b = p[:, None] * biases[order]
+    p_sum = p[0]
+    for j in range(1, ids.size):
+        w[0] += w[j]
+        b[0] += b[j]
+        p_sum += p[j]
+    return ModelParams(w[0] / p_sum, b[0] / p_sum)
 
 
 def _substream(seed, *key):
@@ -349,9 +343,7 @@ def run_fedavg(dataset, profile, config):
         ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
         lr = config.eta0 / (1.0 + r)
         w, b = _local_models(model, dataset, ids, config.e, lr, config.batch_size, config.seed, r)
-        model = aggregate(
-            [(cid, ModelParams(w[j], b[j])) for j, cid in enumerate(ids.tolist())], dataset
-        )
+        model = aggregate(ids, w, b, dataset)
         loss = global_loss(model, dataset)
         if not loss <= loss_limit:  # also true of nan
             raise DivergenceError(
@@ -363,7 +355,6 @@ def run_fedavg(dataset, profile, config):
         energy = float(np.sum(profile.e_comp[ids] * config.e + e_draw))
         traces.append(
             RoundTrace(
-                round_index=r,
                 loss=loss,
                 job=RoundJob(comp=profile.t_comp[ids] * config.e, comm=t_draw, client_ids=ids),
                 energy_j=energy,
@@ -378,9 +369,9 @@ def export_traces(traces, path, strategy):
     """Write round traces as CSV: round, loss, round_time_s (each round's job
     priced under `strategy`), round_energy_J, sampled_ids (semicolon-joined)."""
     def rows():
-        for t in traces:
+        for r, t in enumerate(traces):
             yield [
-                t.round_index,
+                r,
                 t.loss,
                 round_time(t.job, strategy),
                 t.energy_j,

@@ -203,9 +203,9 @@ def grid_search(costs, coeffs, k_values, e_values):
 
 
 def _rounds_to_loss(traces, level):
-    for t in traces:
+    for r, t in enumerate(traces):
         if t.loss <= level:
-            return t.round_index + 1
+            return r + 1
     return None
 
 

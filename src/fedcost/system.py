@@ -14,7 +14,10 @@ import numpy as np
 
 
 def _as_positive_array(name, values, n=None):
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must be an array of numbers") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d array")
     if n is not None and arr.shape[0] != n:
@@ -192,6 +195,8 @@ def draw_round_costs(profile, sampled_ids, rng):
 def load_profile(path):
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("profile file must hold a JSON object")
     expected = {"n_clients", "t_comp", "e_comp", "comm_time_mean", "comm_energy_mean", "jitter"}
     missing = expected - payload.keys()
     if missing:
@@ -199,13 +204,20 @@ def load_profile(path):
     unknown = payload.keys() - expected
     if unknown:
         raise ValueError(f"profile file has unknown keys: {sorted(unknown)}")
+    try:
+        n_clients, jitter = int(payload["n_clients"]), float(payload["jitter"])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"profile n_clients and jitter must be numbers, got "
+            f"{payload['n_clients']!r} and {payload['jitter']!r}"
+        ) from None
     profile = SystemProfile(
         t_comp=payload["t_comp"],
         e_comp=payload["e_comp"],
         comm_time_mean=payload["comm_time_mean"],
         comm_energy_mean=payload["comm_energy_mean"],
-        comm_jitter=float(payload["jitter"]),
+        comm_jitter=jitter,
     )
-    if profile.n_clients != int(payload["n_clients"]):
+    if profile.n_clients != n_clients:
         raise ValueError("n_clients does not match array lengths")
     return profile

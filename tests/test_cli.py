@@ -591,3 +591,109 @@ def test_perfbench_trace_targets_resolve():
         assert callable(getattr(importlib.import_module(f"fedcost.{module}"), name, None)), (
             f"{module}.{name}"
         )
+
+
+def compensated_sum(values, start=0):
+    """Neumaier's compensated sum, as the builtin sum() adds floats from
+    Python 3.12 on."""
+    total, compensation = float(start), 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+def test_scheduler_totals_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch):
+    # the totals are summed left to right in round order, so a compensated
+    # builtin sum() (Python >= 3.12) leaves schedulers.csv unchanged
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "compare_schedulers.cfg")
+    plain, shadowed = str(tmp_path / "plain"), str(tmp_path / "shadowed")
+    assert main(["compare-schedulers", "--config", cfg, "--out", plain]) == 0
+    monkeypatch.setattr("fedcost.cli.sum", compensated_sum, raising=False)
+    assert main(["compare-schedulers", "--config", cfg, "--out", shadowed]) == 0
+    assert read(shadowed, "schedulers.csv") == read(plain, "schedulers.csv")
+
+
+@pytest.mark.parametrize("payload, problem", [
+    ([1, 2, 3], "profile file must hold a JSON object"),
+    ({"n_clients": None}, "profile n_clients and jitter must be numbers, got None and 0.0"),
+    ({"jitter": None}, "profile n_clients and jitter must be numbers, got 8 and None"),
+    ({"n_clients": float("inf")}, "profile n_clients and jitter must be numbers, got inf"),
+    ({"t_comp": {"a": 1}}, "t_comp must be an array of numbers"),
+], ids=["list", "null-n-clients", "null-jitter", "infinite-n-clients", "object-array"])
+def test_malformed_profile_file_is_one_error_line(tmp_path, capsys, payload, problem):
+    if isinstance(payload, dict):
+        write_profile(tmp_path, 8)
+        payload = {**json.loads((tmp_path / "profile.json").read_text()), **payload}
+    path = tmp_path / "bad_profile.json"
+    path.write_text(json.dumps(payload))
+    body = BASE.format(gamma=0.5) + f"rho = 500\nsystem.profile = {path}\n"
+    out = tmp_path / "out"
+    assert main(["validate-properties", "--config", write_config(tmp_path, body),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {problem}")
+    assert not os.path.exists(out)
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.format(gamma=0.5) + FIXED)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: invalid configuration:"
+    ]
+    assert "bad value for --seed: must be >= 0, got -1" in err
+    assert not os.path.exists(out)
+
+
+# three lines, so a value on the next line is on line 4
+_PILOT_HEAD = "gamma = 0.5\ndataset.kind = synthetic\ndataset.n_clients = 8\n"
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("seed = -1", "line 4: bad value for seed: must be >= 0"),
+    ("dataset.dim = 0", "line 4: bad value for dataset.dim: must be >= 1"),
+    ("dataset.labels_per_client = 0",
+     "line 4: bad value for dataset.labels_per_client: must be >= 1"),
+    ("dataset.samples_per_client = 0",
+     "line 4: bad value for dataset.samples_per_client: must be >= 1"),
+    ("dataset.classes = 1", "line 4: bad value for dataset.classes: must be >= 2"),
+    ("dataset.alpha = -1", "line 4: bad value for dataset.alpha: must be >= 0"),
+    ("dataset.beta = nan", "line 4: bad value for dataset.beta: must be finite"),
+    ("dataset.size_std = -0.5", "line 4: bad value for dataset.size_std: must be >= 0"),
+    ("system.t_p_std = -1", "line 4: bad value for system.t_p_std: must be >= 0"),
+    ("system.jitter = -1", "line 4: bad value for system.jitter: must be >= 0"),
+    ("system.comm_spread = inf", "line 4: bad value for system.comm_spread: must be finite"),
+    ("dataset.size_mean = 0", "line 4: bad value for dataset.size_mean: must be > 0"),
+    ("system.t_p_mean = -1", "line 4: bad value for system.t_p_mean: must be > 0"),
+    ("system.e_p_mean = 0", "line 4: bad value for system.e_p_mean: must be > 0"),
+    ("system.t_m_mean = inf", "line 4: bad value for system.t_m_mean: must be finite"),
+    ("system.e_m_mean = -inf", "line 4: bad value for system.e_m_mean: must be finite"),
+    ("train.eta0 = -1", "line 4: bad value for train.eta0: must be >= 0"),
+    ("train.eta0 = nan", "line 4: bad value for train.eta0: must be finite"),
+    ("train.eta0 = inf", "line 4: bad value for train.eta0: must be finite"),
+    ("rho = inf", "line 4: bad value for rho: must be finite"),
+    ("estimate.pairs = 2:5 2:5",
+     "line 4: bad value for estimate.pairs: needs at least two distinct K:E pairs"),
+    ("estimate.pairs = 2:5 4:10\nestimate.loss_a = 1.2\nestimate.loss_b = 1.2",
+     "estimate.loss_a = 1.2 must exceed estimate.loss_b = 1.2"),
+])
+def test_out_of_range_values_are_reported_by_key(tmp_path, capsys, monkeypatch, line, problem):
+    # each is reported before any dataset is built, naming its config key
+    builds = []
+    monkeypatch.setattr("fedcost.cli.build_dataset", lambda *a: builds.append(a))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, _PILOT_HEAD + line + "\n")
+    assert main(["estimate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: invalid configuration:"
+    ]
+    assert f"  - {problem}" in err.splitlines()
+    assert builds == [] and not os.path.exists(out)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedcost.datagen import FederatedDataset
 from fedcost.learner import (
@@ -117,10 +118,15 @@ def test_gradient_matches_finite_differences():
         assert gw[i, j] == pytest.approx(fd, rel=1e-5)
 
 
+def stacked(models):
+    """The (K, C, d) weight and (K, C) bias stacks of a list of models."""
+    return np.stack([m.weights for m in models]), np.stack([m.bias for m in models])
+
+
 def test_aggregate_singleton_returns_same_model():
     ds = scalar_dataset([4, 6])
     m = ModelParams(np.array([[1.5], [-2.0]]), np.array([0.3, 0.1]))
-    out = aggregate([(1, m)], ds)
+    out = aggregate([1], *stacked([m]), ds)
     np.testing.assert_allclose(out.weights, m.weights, rtol=1e-15)
     np.testing.assert_allclose(out.bias, m.bias, rtol=1e-15)
 
@@ -129,33 +135,38 @@ def test_aggregate_opposite_models_cancel():
     ds = scalar_dataset([5, 5])
     m = ModelParams(np.array([[2.0], [1.0]]), np.array([0.5, -0.5]))
     neg = ModelParams(-m.weights, -m.bias)
-    out = aggregate([(0, m), (1, neg)], ds)
+    out = aggregate([0, 1], *stacked([m, neg]), ds)
     np.testing.assert_allclose(out.weights, 0, atol=1e-15)
 
 
 def test_aggregate_weighted_scalar_example():
     # shard sizes (1, 1, 2) and scalar models (1, 1, 4): 0.25+0.25+2 = 2.5
     ds = scalar_dataset([1, 1, 2])
-    updates = [
-        (0, ModelParams(np.array([[1.0], [0.0]]), np.zeros(2))),
-        (1, ModelParams(np.array([[1.0], [0.0]]), np.zeros(2))),
-        (2, ModelParams(np.array([[4.0], [0.0]]), np.zeros(2))),
-    ]
-    out = aggregate(updates, ds)
+    weights = np.array([[[1.0], [0.0]], [[1.0], [0.0]], [[4.0], [0.0]]])
+    out = aggregate([0, 1, 2], weights, np.zeros((3, 2)), ds)
     assert out.weights[0, 0] == pytest.approx(2.5, rel=1e-15)
 
 
 def test_aggregate_is_order_invariant():
     rng = np.random.default_rng(4)
     ds = scalar_dataset([3, 7, 11, 2])
-    updates = [
-        (cid, ModelParams(rng.standard_normal((2, 1)), rng.standard_normal(2)))
-        for cid in range(4)
-    ]
-    a = aggregate(updates, ds)
-    b = aggregate(updates[::-1], ds)
+    ids = np.arange(4)
+    weights, biases = rng.standard_normal((4, 2, 1)), rng.standard_normal((4, 2))
+    a = aggregate(ids, weights, biases, ds)
+    b = aggregate(ids[::-1], weights[::-1], biases[::-1], ds)
     np.testing.assert_array_equal(a.weights, b.weights)
     np.testing.assert_array_equal(a.bias, b.bias)
+
+
+def client_stacks(data, n_clients, shape):
+    """Distinct client ids of [0, n_clients) in a drawn order, with a drawn
+    weight and bias stack entry for each."""
+    k = data.draw(st.integers(1, n_clients), label="K")
+    ids = data.draw(st.permutations(range(n_clients)), label="ids")[:k]
+    values = st.floats(-1e6, 1e6)
+    weights = data.draw(hnp.arrays(float, (len(ids),) + shape, elements=values), label="weights")
+    biases = data.draw(hnp.arrays(float, (len(ids), shape[0]), elements=values), label="biases")
+    return np.array(ids), weights, biases
 
 
 @settings(max_examples=60, deadline=None)
@@ -163,24 +174,55 @@ def test_aggregate_is_order_invariant():
 def test_aggregate_does_not_depend_on_input_order(data):
     sizes = data.draw(st.lists(st.integers(1, 50), min_size=1, max_size=10), label="sizes")
     ds = scalar_dataset(sizes)
-    ids = data.draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, unique=True), label="ids")
-    pair = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2).map(np.array)
-    updates = [(cid, ModelParams(data.draw(pair).reshape(2, 1), data.draw(pair))) for cid in ids]
-    a = aggregate(updates, ds)
-    b = aggregate(data.draw(st.permutations(updates), label="order"), ds)
+    ids, weights, biases = client_stacks(data, len(sizes), (2, 1))
+    a = aggregate(ids, weights, biases, ds)
+    # permute the ids and both stacks together
+    order = np.array(data.draw(st.permutations(range(ids.size)), label="order"))
+    b = aggregate(ids[order], weights[order], biases[order], ds)
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.bias.tobytes() == b.bias.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_aggregate_equals_the_per_client_loop_in_id_order(data):
+    n_clients = data.draw(st.integers(1, 30), label="n_clients")
+    shape = (data.draw(st.integers(2, 4), label="C"), data.draw(st.integers(1, 5), label="d"))
+    sizes = data.draw(st.lists(st.integers(1, 50), min_size=n_clients, max_size=n_clients),
+                      label="sizes")
+    rng = np.random.default_rng(0)
+    ds = packed([(rng.standard_normal((n, shape[1])), rng.integers(0, shape[0], n))
+                 for n in sizes], shape[0])
+    ids, weights, biases = client_stacks(data, n_clients, shape)
+    got = aggregate(ids, weights, biases, ds)
+
+    # the per-client algorithm: (id, model) pairs summed in id order
+    updates = sorted((cid, ModelParams(w, b)) for cid, w, b in zip(ids.tolist(), weights, biases))
+    p = ds.weights
+    w_sum = b_sum = None
+    p_sum = 0.0
+    for cid, m in updates:
+        p_sum += p[cid]
+        if w_sum is None:
+            w_sum, b_sum = p[cid] * m.weights, p[cid] * m.bias
+        else:
+            w_sum += p[cid] * m.weights
+            b_sum += p[cid] * m.bias
+    assert got.weights.tobytes() == (w_sum / p_sum).tobytes()
+    assert got.bias.tobytes() == (b_sum / p_sum).tobytes()
+
+
 def test_aggregate_rejects_bad_updates():
     ds = scalar_dataset([2, 2])
-    m = ModelParams(np.zeros((2, 1)), np.zeros(2))
+    w, b = np.zeros((1, 2, 1)), np.zeros((1, 2))
     with pytest.raises(ValueError):
-        aggregate([], ds)
+        aggregate([], w[:0], b[:0], ds)
     with pytest.raises(ValueError):
-        aggregate([(0, m), (0, m)], ds)
+        aggregate([0, 0], np.repeat(w, 2, axis=0), np.repeat(b, 2, axis=0), ds)
     with pytest.raises(ValueError):
-        aggregate([(5, m)], ds)
+        aggregate([5], w, b, ds)
+    with pytest.raises(ValueError, match="model parameters must be finite"):
+        aggregate([0], np.full_like(w, np.inf), b, ds)
 
 
 def desk_config(**kw):
@@ -313,12 +355,12 @@ def per_client_fedavg(dataset, profile, config):
     for r in range(config.max_rounds):
         ids = np.sort(sampling.choice(dataset.n_clients, size=config.k, replace=False))
         lr = config.eta0 / (1.0 + r)
-        updates = [
-            (int(cid), local_sgd(model, *dataset.shard(cid), config.e, lr, config.batch_size,
-                                 stream(2, r, int(cid))))
+        models = [
+            local_sgd(model, *dataset.shard(cid), config.e, lr, config.batch_size,
+                      stream(2, r, int(cid)))
             for cid in ids
         ]
-        model = aggregate(updates, dataset)
+        model = aggregate(ids, *stacked(models), dataset)
         loss = 0.0
         for k in range(dataset.n_clients):
             x, y = dataset.shard(k)
