@@ -33,7 +33,6 @@ from .learner import (
     run_fedavg,
 )
 from .optimizer import (
-    AcsConfig,
     EstimationPlan,
     PilotRecord,
     RhoEstimate,

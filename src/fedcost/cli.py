@@ -17,15 +17,14 @@ from . import costmodel, datagen, learner, optimizer, system
 from .config import ConfigError, needs_for_command, parse_config
 from .costmodel import ConvergenceCoeffs
 from .csvio import write_csv
-from .learner import TrainConfig, run_fedavg, sub_seed
+from .learner import TrainConfig, run_fedavg
 from .optimizer import EstimationPlan
 from .scheduler import Strategy, round_time
-
-_DATA_KEY, _PROFILE_KEY, _TRAIN_KEY, _PILOT_KEY = ((100, domain) for domain in range(4))
+from .seeding import DATA, PILOTS, PROFILE, TRAIN, sub_seed
 
 
 def build_dataset(config):
-    seed = sub_seed(config["seed"], *_DATA_KEY)
+    seed = sub_seed(config["seed"], *DATA)
     if config["dataset.kind"] == "synthetic":
         return datagen.gen_synthetic(
             alpha=config["dataset.alpha"],
@@ -63,7 +62,7 @@ def build_profile(config, n_clients):
         t_m_mean=config["system.t_m_mean"],
         e_m_mean=config["system.e_m_mean"],
         jitter=config["system.jitter"],
-        seed=sub_seed(config["seed"], *_PROFILE_KEY),
+        seed=sub_seed(config["seed"], *PROFILE),
         comm_spread=config["system.comm_spread"],
     )
 
@@ -76,7 +75,7 @@ def build_train_config(config, k, e):
         eta0=config["train.eta0"],
         max_rounds=config["train.max_rounds"],
         target_loss=config["train.target_loss"],
-        seed=sub_seed(config["seed"], *_TRAIN_KEY),
+        seed=sub_seed(config["seed"], *TRAIN),
     )
 
 
@@ -110,7 +109,7 @@ def _solve(config, dataset, profile, costs, rho, grid=False):
         # the run's training settings, seeded apart; each pilot sets its own
         # K, E, round cap, target loss and seed from them
         pilot_train = replace(
-            build_train_config(config, None, None), seed=sub_seed(config["seed"], *_PILOT_KEY)
+            build_train_config(config, None, None), seed=sub_seed(config["seed"], *PILOTS)
         )
         estimate = optimizer.estimate_rho(
             EstimationPlan(

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .seeding import SIZES, stream
+
 
 class PartitionError(ValueError):
     """Raised when a label-partition request cannot be satisfied by the pool."""
@@ -123,14 +125,13 @@ def gen_synthetic(alpha, beta, n_clients, size_mean, size_std, seed, n_features=
     if n_features < 1 or n_classes < 2:
         raise ValueError("need n_features >= 1 and n_classes >= 2")
 
-    streams = np.random.SeedSequence(seed).spawn(n_clients + 1)
-    sizes = _shard_sizes(np.random.default_rng(streams[0]), n_clients, size_mean, size_std)
+    sizes = _shard_sizes(stream(seed, SIZES), n_clients, size_mean, size_std)
     cov_scale = np.sqrt(np.arange(1, n_features + 1, dtype=float) ** -1.2)
 
     features = np.empty((int(sizes.sum()), n_features))
     labels = np.empty(features.shape[0], dtype=np.int64)
     for k, (stop, n_k) in enumerate(zip(np.cumsum(sizes).tolist(), sizes.tolist())):
-        rng = np.random.default_rng(streams[k + 1])
+        rng = stream(seed, k + 1)
         u = np.sqrt(alpha) * rng.standard_normal()
         weight = u + np.sqrt(alpha) * rng.standard_normal((n_classes, n_features))
         bias = u + np.sqrt(alpha) * rng.standard_normal(n_classes)
@@ -189,7 +190,7 @@ def partition_by_label(features, labels, n_clients, labels_per_client, samples_p
                 f"label {lab} has {by_label[lab].size} samples, request needs {demand[lab]}"
             )
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = stream(seed)
     unused = {lab: by_label[lab][rng.permutation(by_label[lab].size)] for lab in pool_labels}
 
     taken = []

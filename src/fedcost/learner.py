@@ -23,6 +23,7 @@ import numpy as np
 
 from .csvio import write_csv
 from .scheduler import RoundJob, round_time
+from .seeding import COMM, SAMPLING, SGD, stream
 from .system import draw_round_costs
 
 
@@ -205,16 +206,6 @@ def aggregate(ids, weights, biases, dataset):
     return ModelParams(w[0] / p_sum, b[0] / p_sum)
 
 
-def _substream(seed, *key):
-    """Deterministic RNG keyed on (seed, key), independent of call order."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
-
-
-def sub_seed(seed, *key):
-    """Integer seed keyed on (seed, key), for callees that take a plain seed."""
-    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
-
-
 # Softmax-regression gradients are bounded by the inputs, so a huge step size
 # gives a huge but finite loss (about 1e300 at eta0 = 1e300).  A loss past
 # this many times ln(C), the zero model's loss, counts as diverged.  The
@@ -222,10 +213,6 @@ def sub_seed(seed, *key):
 # seed 7: K=5, E=2, eta0 0.3, round 0), 2.92 (the shipped optimize config at
 # seed 11), 2.23 (every run_fedavg call of the test suite).
 _DIVERGED_LOSS_RATIO = 1000.0
-
-_SAMPLING_DOMAIN = 0
-_COMM_DOMAIN = 1
-_SGD_DOMAIN = 2
 
 # Clients stepped together in one stacked call.  It bounds a round's working
 # set (stepping all K at once raised peak memory by 4-6%); not a setting.
@@ -253,8 +240,7 @@ def _local_models(model, dataset, ids, steps, lr, batch_size, seed, round_index)
             if is_full:
                 _full_batch_steps(gw, gb, dataset, ids[group], steps, lr)
             else:
-                rngs = [_substream(seed, _SGD_DOMAIN, round_index, cid)
-                        for cid in ids[group].tolist()]
+                rngs = [stream(seed, SGD, round_index, cid) for cid in ids[group].tolist()]
                 _minibatch_steps(gw, gb, dataset, ids[group], steps, lr, batch_size, rngs)
             w[group], b[group] = gw, gb
     return w, b
@@ -337,7 +323,7 @@ def run_fedavg(dataset, profile, config):
 
     model = ModelParams.zeros(dataset.n_classes, dataset.n_features)
     loss_limit = _DIVERGED_LOSS_RATIO * math.log(dataset.n_classes)
-    sample_rng = _substream(config.seed, _SAMPLING_DOMAIN)
+    sample_rng = stream(config.seed, SAMPLING)
     traces = []
     for r in range(config.max_rounds):
         ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
@@ -350,7 +336,7 @@ def run_fedavg(dataset, profile, config):
                 f"diverged at round {r}: global loss {loss:.6g}, limit {loss_limit:.6g}"
             )
 
-        comm_rng = _substream(config.seed, _COMM_DOMAIN, r)
+        comm_rng = stream(config.seed, COMM, r)
         t_draw, e_draw = draw_round_costs(profile, ids, comm_rng)
         energy = float(np.sum(profile.e_comp[ids] * config.e + e_draw))
         traces.append(

@@ -20,7 +20,8 @@ import numpy as np
 
 from .costmodel import p3_objective, rounds_needed, sampling_penalty
 from .csvio import write_csv
-from .learner import run_fedavg, sub_seed
+from .learner import run_fedavg
+from .seeding import PILOT, sub_seed
 
 
 class EstimationError(RuntimeError):
@@ -29,17 +30,6 @@ class EstimationError(RuntimeError):
 
 class PilotTimeoutError(RuntimeError):
     """Raised when a pilot run fails to reach the lower loss level in time."""
-
-
-@dataclass
-class AcsConfig:
-    """Alternate-search settings: start point, stopping tolerance on the
-    (K, E) step, and sweep cap."""
-
-    k0: float = None  # defaults to N/2
-    e0: float = 10.0
-    tol: float = 1e-3
-    max_sweeps: int = 100
 
 
 @dataclass
@@ -114,15 +104,23 @@ def _e_stationarity(e, k, costs, coeffs):
     return phi * (2.0 * a * e**3 + b * e**2) - coeffs.rho * b
 
 
-def solve_e_given_k(k, costs, coeffs, e_max=1e6):
+# ACS starts at (max(1, N/2), _E0) and stops once a sweep moves (K, E) by at
+# most _TOL, or after _MAX_SWEEPS sweeps; the E solve searches up to _E_MAX.
+_E0 = 10.0
+_TOL = 1e-3
+_MAX_SWEEPS = 100
+_E_MAX = 1e6
+
+
+def solve_e_given_k(k, costs, coeffs):
     """Continuous minimizer of the objective in E at fixed K, clamped to
-    >= 1.  Bisects the stationarity condition on [1e-6, e_max] to 1e-9."""
+    >= 1.  Bisects the stationarity condition on [1e-6, _E_MAX] to 1e-9."""
     n = costs.n_clients
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
-    lo, hi = 1e-6, float(e_max)
+    lo, hi = 1e-6, _E_MAX
     if _e_stationarity(hi, k, costs, coeffs) < 0:
-        raise ValueError(f"E minimizer exceeds the search ceiling e_max={e_max:g}")
+        raise ValueError(f"E minimizer exceeds the search ceiling e_max={_E_MAX:g}")
     if _e_stationarity(lo, k, costs, coeffs) >= 0:
         return 1.0
     while hi - lo > 1e-9:
@@ -146,7 +144,7 @@ def _solution(k_star, e_star, cost, coeffs, trajectory, converged):
     return Solution(k_star, e_star, r_star, cost, trajectory, converged)
 
 
-def acs_optimize(costs, coeffs, config=None):
+def acs_optimize(costs, coeffs):
     """Alternate convex search for the integer (K*, E*) and the matching
     round count.
 
@@ -155,22 +153,17 @@ def acs_optimize(costs, coeffs, config=None):
     flags the result non-converged.  The continuous fixed point is rounded
     to the best of the four floor/ceil combinations.
     """
-    config = config or AcsConfig()
     n = costs.n_clients
-    k = float(config.k0) if config.k0 is not None else max(1.0, n / 2.0)
-    e = float(config.e0)
-    if not 1 <= k <= n or e < 1:
-        raise ValueError("infeasible start point")
-
+    k, e = max(1.0, n / 2.0), _E0
     trajectory = [(k, e)]
     converged = False
-    for _ in range(config.max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         k_new = solve_k_given_e(e, costs, coeffs)
         e_new = solve_e_given_k(k_new, costs, coeffs)
         trajectory.append((k_new, e_new))
         step = math.hypot(k_new - k, e_new - e)
         k, e = k_new, e_new
-        if step <= config.tol:
+        if step <= _TOL:
             converged = True
             break
 
@@ -224,7 +217,7 @@ def run_pilots(plan, dataset, profile, train):
             e=e,
             max_rounds=plan.round_cap,
             target_loss=plan.loss_b,
-            seed=sub_seed(train.seed, 3, i),
+            seed=sub_seed(train.seed, PILOT, i),
         )
         _, traces = run_fedavg(dataset, profile, config)
         r_a = _rounds_to_loss(traces, plan.loss_a)

@@ -12,11 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .seeding import stream
+
 
 def _as_positive_array(name, values, n=None):
     try:
         arr = np.asarray(values, dtype=float)
-    except TypeError:
+    except (TypeError, OverflowError):  # a JSON integer past 1e308 overflows
         raise ValueError(f"{name} must be an array of numbers") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d array")
@@ -25,6 +27,9 @@ def _as_positive_array(name, values, n=None):
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
         raise ValueError(f"{name} entries must be finite and strictly positive")
     return arr
+
+
+_ARRAYS = ("t_comp", "e_comp", "comm_time_mean", "comm_energy_mean")
 
 
 @dataclass(frozen=True)
@@ -43,22 +48,14 @@ class SystemProfile:
     comm_jitter: float
 
     def __post_init__(self):
-        t = _as_positive_array("t_comp", self.t_comp)
-        n = t.shape[0]
-        object.__setattr__(self, "t_comp", t)
-        object.__setattr__(self, "e_comp", _as_positive_array("e_comp", self.e_comp, n))
-        object.__setattr__(
-            self, "comm_time_mean", _as_positive_array("comm_time_mean", self.comm_time_mean, n)
-        )
-        object.__setattr__(
-            self,
-            "comm_energy_mean",
-            _as_positive_array("comm_energy_mean", self.comm_energy_mean, n),
-        )
+        n = None  # t_comp's length, which the other arrays must match
+        for name in _ARRAYS:
+            object.__setattr__(self, name, _as_positive_array(name, getattr(self, name), n))
+            n = self.t_comp.shape[0]
         if not np.isfinite(self.comm_jitter) or self.comm_jitter < 0:
             raise ValueError("comm_jitter must be finite and >= 0")
-        for arr in (self.t_comp, self.e_comp, self.comm_time_mean, self.comm_energy_mean):
-            arr.setflags(write=False)
+        for name in _ARRAYS:
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_clients(self):
@@ -149,14 +146,12 @@ def sample_profile(
     if t_p_std < 0 or jitter < 0 or comm_spread < 0:
         raise ValueError("spread parameters must be >= 0")
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = stream(seed)
     t_comp = _positive_normal(rng, t_p_mean, t_p_std, n_clients)
     rel = t_p_std / t_p_mean
     e_comp = _positive_normal(rng, e_p_mean, rel * e_p_mean, n_clients)
 
     def comm_means(mean):
-        if comm_spread == 0:
-            return np.full(n_clients, float(mean))
         sigma = np.sqrt(np.log1p(comm_spread**2))
         mult = rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma, size=n_clients)
         mult /= mult.mean()
@@ -184,8 +179,6 @@ def draw_round_costs(profile, sampled_ids, rng):
         raise ValueError("sampled_ids out of range")
     t_mean = profile.comm_time_mean[ids]
     e_mean = profile.comm_energy_mean[ids]
-    if profile.comm_jitter == 0:
-        return t_mean.copy(), e_mean.copy()
     j = profile.comm_jitter
     t = _positive_normal(rng, t_mean, j * t_mean, ids.size)
     e = _positive_normal(rng, e_mean, j * e_mean, ids.size)
@@ -197,27 +190,29 @@ def load_profile(path):
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("profile file must hold a JSON object")
-    expected = {"n_clients", "t_comp", "e_comp", "comm_time_mean", "comm_energy_mean", "jitter"}
+    expected = {"n_clients", "jitter", *_ARRAYS}
     missing = expected - payload.keys()
     if missing:
         raise ValueError(f"profile file missing keys: {sorted(missing)}")
     unknown = payload.keys() - expected
     if unknown:
         raise ValueError(f"profile file has unknown keys: {sorted(unknown)}")
+    n_clients, jitter = payload["n_clients"], payload["jitter"]
+    # JSON types exactly: true, "8" and 8.7 are no count, true and "0.1" no number
     try:
-        n_clients, jitter = int(payload["n_clients"]), float(payload["jitter"])
-    except (TypeError, ValueError, OverflowError):
+        if type(n_clients) is not int or type(jitter) not in (int, float):
+            raise TypeError
+        jitter = float(jitter)
+    except (TypeError, OverflowError):
         raise ValueError(
-            f"profile n_clients and jitter must be numbers, got "
-            f"{payload['n_clients']!r} and {payload['jitter']!r}"
+            f"profile n_clients must be an integer and jitter a number, got "
+            f"{n_clients!r} and {jitter!r}"
         ) from None
-    profile = SystemProfile(
-        t_comp=payload["t_comp"],
-        e_comp=payload["e_comp"],
-        comm_time_mean=payload["comm_time_mean"],
-        comm_energy_mean=payload["comm_energy_mean"],
-        comm_jitter=jitter,
-    )
+    for name in _ARRAYS:
+        values = payload[name]
+        if isinstance(values, list) and not all(type(v) in (int, float) for v in values):
+            raise ValueError(f"{name} must be an array of numbers")
+    profile = SystemProfile(*(payload[name] for name in _ARRAYS), comm_jitter=jitter)
     if profile.n_clients != n_clients:
         raise ValueError("n_clients does not match array lengths")
     return profile

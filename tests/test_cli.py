@@ -618,13 +618,26 @@ def test_scheduler_totals_do_not_depend_on_the_builtin_sum(tmp_path, monkeypatch
     assert read(shadowed, "schedulers.csv") == read(plain, "schedulers.csv")
 
 
+_COUNT_AND_JITTER = "profile n_clients must be an integer and jitter a number, got"
+
+
 @pytest.mark.parametrize("payload, problem", [
     ([1, 2, 3], "profile file must hold a JSON object"),
-    ({"n_clients": None}, "profile n_clients and jitter must be numbers, got None and 0.0"),
-    ({"jitter": None}, "profile n_clients and jitter must be numbers, got 8 and None"),
-    ({"n_clients": float("inf")}, "profile n_clients and jitter must be numbers, got inf"),
+    ({"n_clients": None}, f"{_COUNT_AND_JITTER} None and 0.0"),
+    ({"jitter": None}, f"{_COUNT_AND_JITTER} 8 and None"),
+    ({"n_clients": float("inf")}, f"{_COUNT_AND_JITTER} inf"),
     ({"t_comp": {"a": 1}}, "t_comp must be an array of numbers"),
-], ids=["list", "null-n-clients", "null-jitter", "infinite-n-clients", "object-array"])
+    ({"n_clients": 8.7}, f"{_COUNT_AND_JITTER} 8.7 and 0.0"),
+    ({"n_clients": True}, f"{_COUNT_AND_JITTER} True and 0.0"),
+    ({"n_clients": "8"}, f"{_COUNT_AND_JITTER} '8' and 0.0"),
+    ({"jitter": True}, f"{_COUNT_AND_JITTER} 8 and True"),
+    ({"jitter": "0.1"}, f"{_COUNT_AND_JITTER} 8 and '0.1'"),
+    ({"t_comp": [True] * 8}, "t_comp must be an array of numbers"),
+    ({"e_comp": ["1"] * 8}, "e_comp must be an array of numbers"),
+    ({"comm_time_mean": [10**400] * 8}, "comm_time_mean must be an array of numbers"),
+], ids=["list", "null-n-clients", "null-jitter", "infinite-n-clients", "object-array",
+        "fractional-n-clients", "bool-n-clients", "string-n-clients", "bool-jitter",
+        "string-jitter", "bool-entries", "string-entries", "overflowing-entries"])
 def test_malformed_profile_file_is_one_error_line(tmp_path, capsys, payload, problem):
     if isinstance(payload, dict):
         write_profile(tmp_path, 8)

@@ -15,9 +15,9 @@ from fedcost.learner import (
     local_sgd,
     mean_cross_entropy,
     run_fedavg,
-    sub_seed,
 )
 from fedcost.scheduler import Strategy, round_time
+from fedcost.seeding import sub_seed
 from fedcost.system import draw_round_costs, sample_profile
 
 

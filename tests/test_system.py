@@ -61,6 +61,10 @@ def test_zero_jitter_draws_equal_means():
     t, e = draw_round_costs(p, [0, 2, 4], np.random.default_rng(0))
     np.testing.assert_array_equal(t, p.comm_time_mean[[0, 2, 4]])
     np.testing.assert_array_equal(e, p.comm_energy_mean[[0, 2, 4]])
+    # zero spread: every client's comm means are the population means, exactly
+    p = sample_profile(5, 0.5, 0.1, 0.01, 0.2, 0.02, jitter=0.0, seed=1, comm_spread=0)
+    np.testing.assert_array_equal(p.comm_time_mean, np.full(5, 0.2))
+    np.testing.assert_array_equal(p.comm_energy_mean, np.full(5, 0.02))
 
 
 def test_draw_means_converge_to_configured_means():
