@@ -6,7 +6,8 @@ The blended-cost objective is strictly biconvex in (K, E), so it is minimized
 by alternating two one-dimensional solves: the K step has a closed form (the
 positive root of the stationarity condition), and the E step bisects a
 strictly increasing cubic condition.  The continuous fixed point is then
-rounded to the best of the four floor/ceil integer combinations.
+rounded by grid_search over its floor/ceil integer candidates, so ACS and
+the exhaustive grid share one argmin and one tie rule.
 
 rho itself is unknown a priori.  It is recovered from short pilot runs: run
 training at a few (K, E) pairs until two preset loss levels are crossed; the
@@ -132,18 +133,6 @@ def solve_e_given_k(k, costs, coeffs):
     return max(1.0, 0.5 * (lo + hi))
 
 
-def _rounding_candidates(k, e, n):
-    ks = {int(min(max(math.floor(k), 1), n)), int(min(max(math.ceil(k), 1), n))}
-    es = {int(max(math.floor(e), 1)), int(max(math.ceil(e), 1))}
-    return sorted((ki, ei) for ki in ks for ei in es)
-
-
-def _solution(k_star, e_star, cost, coeffs, trajectory, converged):
-    """The integer pair's Solution; R* is its rounds_needed, ceiled, at least 1."""
-    r_star = max(1, int(math.ceil(rounds_needed(k_star, e_star, coeffs))))
-    return Solution(k_star, e_star, r_star, cost, trajectory, converged)
-
-
 def acs_optimize(costs, coeffs):
     """Alternate convex search for the integer (K*, E*) and the matching
     round count.
@@ -151,12 +140,12 @@ def acs_optimize(costs, coeffs):
     Alternates the closed-form K solve and the bisection E solve until the
     iterate moves less than the tolerance; hitting the sweep cap instead
     flags the result non-converged.  The continuous fixed point is rounded
-    to the best of the four floor/ceil combinations.
+    by grid_search over floor/ceil of K (clamped to [1, N]) and of E (at
+    least 1).
     """
     n = costs.n_clients
     k, e = max(1.0, n / 2.0), _E0
     trajectory = [(k, e)]
-    converged = False
     for _ in range(_MAX_SWEEPS):
         k_new = solve_k_given_e(e, costs, coeffs)
         e_new = solve_e_given_k(k_new, costs, coeffs)
@@ -164,35 +153,31 @@ def acs_optimize(costs, coeffs):
         step = math.hypot(k_new - k, e_new - e)
         k, e = k_new, e_new
         if step <= _TOL:
-            converged = True
             break
 
-    best = None
-    for ki, ei in _rounding_candidates(k, e, n):
-        obj = float(p3_objective(ki, ei, costs, coeffs))
-        if best is None or obj < best[0]:
-            best = (obj, ki, ei)
-    obj, k_star, e_star = best
-    return _solution(k_star, e_star, obj, coeffs, trajectory, converged)
+    ks = [min(max(f(k), 1), n) for f in (math.floor, math.ceil)]
+    es = [max(f(e), 1) for f in (math.floor, math.ceil)]
+    solution = grid_search(costs, coeffs, ks, es)
+    return replace(solution, trajectory=trajectory, converged=step <= _TOL)
 
 
 def grid_search(costs, coeffs, k_values, e_values):
     """Exact integer argmin of the objective over a (K, E) grid; ties break
-    toward smaller K, then smaller E."""
-    k_values = np.asarray(list(k_values), dtype=int)
-    e_values = np.asarray(list(e_values), dtype=int)
+    toward smaller K, then smaller E.  R* is rounds_needed at the argmin,
+    ceiled, at least 1."""
+    # sorted sets, not np.unique, which imports numpy.ma on its first call
+    k_values = np.array(sorted({int(k) for k in k_values}))
+    e_values = np.array(sorted({int(e) for e in e_values}))
     if k_values.size == 0 or e_values.size == 0:
         raise ValueError("empty search ranges")
-    k_values = np.unique(k_values)
-    e_values = np.unique(e_values)
     if k_values[0] < 1 or k_values[-1] > costs.n_clients or e_values[0] < 1:
         raise ValueError("grid outside the feasible region")
-    kk = k_values[:, None].astype(float)
-    ee = e_values[None, :].astype(float)
-    obj = p3_objective(kk, ee, costs, coeffs)
-    flat = int(np.argmin(obj))  # row-major: smallest K first, then smallest E
-    i, j = divmod(flat, e_values.size)
-    return _solution(int(k_values[i]), int(e_values[j]), float(obj[i, j]), coeffs, [], True)
+    obj = p3_objective(k_values[:, None], e_values[None, :], costs, coeffs)
+    # argmin takes the first minimum in row-major order: smallest K, then E
+    i, j = divmod(int(np.argmin(obj)), e_values.size)
+    k_star, e_star = int(k_values[i]), int(e_values[j])
+    r_star = max(1, int(math.ceil(rounds_needed(k_star, e_star, coeffs))))
+    return Solution(k_star, e_star, r_star, float(obj[i, j]))
 
 
 def _rounds_to_loss(traces, level):
@@ -287,12 +272,6 @@ class PropertyFinding:
     detail: str
 
 
-def _sign_changes(values):
-    diffs = np.diff(np.asarray(values, dtype=float))
-    signs = np.sign(diffs[diffs != 0])
-    return int(np.sum(signs[1:] != signs[:-1])) if signs.size > 1 else 0
-
-
 def verify_properties(costs, coeffs):
     """Numerically check the qualitative behavior of the continuous optima.
 
@@ -304,81 +283,60 @@ def verify_properties(costs, coeffs):
     """
     findings = []
     gammas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    scale = 4.0  # factor each cost parameter is moved by
+    mid = 0.5  # the gamma at which K* and E* are moved
+    scale = 4.0  # factor each cost parameter is moved by; x * (1 / 4) equals x / 4 exactly
     k_fixed = min(5, costs.n_clients)  # the K at which E* is solved
 
     def check(name, passed, detail):
         findings.append(PropertyFinding(name=name, passed=bool(passed), detail=detail))
 
-    def k_at(gamma, **overrides):
-        return solve_k_given_e(20.0, replace(costs, gamma=float(gamma), **overrides), coeffs)
+    def moved(gamma, name, factor):  # costs at gamma, with cost `name` times factor
+        change = {} if name is None else {name: getattr(costs, name) * factor}
+        return replace(costs, gamma=float(gamma), **change)
 
-    def e_at(k, gamma, **overrides):
-        return solve_e_given_k(k, replace(costs, gamma=float(gamma), **overrides), coeffs)
+    def k_at(gamma, name=None, factor=1.0):
+        return solve_k_given_e(20.0, moved(gamma, name, factor), coeffs)
 
-    ks = [k_at(gamma=g) for g in gammas]
+    def e_at(k, gamma, name=None, factor=1.0):
+        return solve_e_given_k(k, moved(gamma, name, factor), coeffs)
+
+    ks = [k_at(g) for g in gammas]
     check(
         "k_star_non_increasing_in_gamma",
         all(a >= b - 1e-9 for a, b in zip(ks, ks[1:])),
         f"gammas={list(gammas)} k_star={[round(v, 4) for v in ks]}",
     )
-    k_gamma_one = k_at(gamma=1.0)
-    check("k_star_is_one_at_gamma_one", k_gamma_one == 1.0, f"k_star(1)={k_gamma_one}")
+    check("k_star_is_one_at_gamma_one", ks[-1] == 1.0, f"k_star(1)={ks[-1]}")
 
-    mid = 0.5
-    base_k = k_at(gamma=mid)
-    moves = {
-        "t_p": (k_at(gamma=mid, t_p=costs.t_p * scale), "up"),
-        "t_m": (k_at(gamma=mid, t_m=costs.t_m * scale), "down"),
-        "e_p": (k_at(gamma=mid, e_p=costs.e_p * scale), "down"),
-        "e_m": (k_at(gamma=mid, e_m=costs.e_m * scale), "down"),
-    }
-    for name, (val, direction) in moves.items():
-        ok = val > base_k if direction == "up" else val < base_k
-        check(
-            f"k_star_moves_{direction}_with_{name}",
-            ok,
-            f"gamma={mid} base={base_k:.4f} scaled={val:.4f}",
-        )
-    base0 = k_at(gamma=0.0)
-    ratio0 = k_at(gamma=0.0, t_p=costs.t_p * scale)
-    check(
-        "k_star_increases_with_tp_over_tm_at_gamma_zero",
-        ratio0 > base0,
-        f"base={base0:.4f} scaled={ratio0:.4f}",
-    )
+    base = k_at(mid)
+    for cost, direction in (("t_p", "up"), ("t_m", "down"), ("e_p", "down"), ("e_m", "down")):
+        val = k_at(mid, cost, scale)
+        ok = val > base if direction == "up" else val < base
+        detail = f"gamma={mid} base={base:.4f} scaled={val:.4f}"
+        check(f"k_star_moves_{direction}_with_{cost}", ok, detail)
+    base, val = ks[0], k_at(0.0, "t_p", scale)
+    detail = f"base={base:.4f} scaled={val:.4f}"
+    check("k_star_increases_with_tp_over_tm_at_gamma_zero", val > base, detail)
 
     e_values = np.arange(1, 101, dtype=float)
     for k in (1, 2, 5, 10):
         if k > costs.n_clients:
             continue
-        vals = p3_objective(float(k), e_values, costs, coeffs)
-        changes = _sign_changes(vals)
-        check(
-            f"objective_unimodal_in_e_at_k_{k}",
-            changes <= 1,
-            f"sign changes of successive differences: {changes}",
-        )
+        diffs = np.diff(p3_objective(float(k), e_values, costs, coeffs))
+        signs = np.sign(diffs[diffs != 0])
+        changes = int(np.sum(signs[1:] != signs[:-1]))
+        detail = f"sign changes of successive differences: {changes}"
+        check(f"objective_unimodal_in_e_at_k_{k}", changes <= 1, detail)
 
-    base_e = e_at(k_fixed, gamma=mid)
-    e_tp = e_at(k_fixed, gamma=mid, t_p=costs.t_p / scale)
-    e_ep = e_at(k_fixed, gamma=mid, e_p=costs.e_p / scale)
-    check("e_star_rises_when_tp_falls", e_tp > base_e, f"base={base_e:.4f} moved={e_tp:.4f}")
-    check("e_star_rises_when_ep_falls", e_ep > base_e, f"base={base_e:.4f} moved={e_ep:.4f}")
-    base_g0 = e_at(k_fixed, gamma=0.0)
-    e_tm = e_at(k_fixed, gamma=0.0, t_m=costs.t_m * scale)
-    check(
-        "e_star_increases_with_tm_over_tp_at_gamma_zero",
-        e_tm > base_g0,
-        f"base={base_g0:.4f} moved={e_tm:.4f}",
-    )
-    base_g1 = e_at(1, gamma=1.0)
-    e_em = e_at(1, gamma=1.0, e_m=costs.e_m * scale)
-    check(
-        "e_star_increases_with_em_over_ep_at_gamma_one",
-        e_em > base_g1,
-        f"base={base_g1:.4f} moved={e_em:.4f}",
-    )
+    # each row moves one cost parameter at a fixed (K, gamma); E* must rise
+    for name, k, gamma, cost, factor in (
+        ("e_star_rises_when_tp_falls", k_fixed, mid, "t_p", 1 / scale),
+        ("e_star_rises_when_ep_falls", k_fixed, mid, "e_p", 1 / scale),
+        ("e_star_increases_with_tm_over_tp_at_gamma_zero", k_fixed, 0.0, "t_m", scale),
+        ("e_star_increases_with_em_over_ep_at_gamma_one", 1, 1.0, "e_m", scale),
+    ):
+        base, val = e_at(k, gamma), e_at(k, gamma, cost, factor)
+        check(name, val > base, f"base={base:.4f} moved={val:.4f}")
     return findings
 
 

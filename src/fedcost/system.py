@@ -16,8 +16,8 @@ from .seeding import stream
 
 
 def _as_positive_array(name, values, n=None):
-    try:
-        arr = np.asarray(values, dtype=float)
+    try:  # a copy: the profile freezes its own arrays, never its caller's
+        arr = np.array(values, dtype=float)
     except (TypeError, OverflowError):  # a JSON integer past 1e308 overflows
         raise ValueError(f"{name} must be an array of numbers") from None
     if arr.ndim != 1:

@@ -192,6 +192,56 @@ def test_overhead_ratio_divides_by_the_written_solution(tmp_path):
     assert float(sol["overhead_ratio"]) == steps / (k * e * r)
 
 
+FLEET = """
+seed = 11
+gamma = 0.3
+dataset.kind = synthetic
+dataset.size_mean = 30
+dataset.size_std = 10
+system.t_p_std = 0.2
+control.e_max = 60
+"""
+
+
+@pytest.mark.parametrize(
+    "fleet, digests",
+    [
+        # N = 12: every property passes; ACS rounds E between 4 and 5 at K = 1
+        (
+            "dataset.n_clients = 12\nrho = 900\n",
+            (
+                "158ac3cfa889c43f70ba741eb59bf0c4564ce933c424a3eba226ca57d42d7d1e",
+                "36ddae758c584409533b6f7d35893e2110cce678e76e55779030c2ad3d121ae8",
+                "74a08f7309cf2cca4c35051a877a4691cc3ba2a50cf7e8997e487eb2d2e31580",
+            ),
+        ),
+        # N = 3: the unimodality check skips K = 5 and 10, E* is solved at
+        # K = 3, and ACS rounds K between 2 and 3.  K* clamps at N and E* at 1,
+        # so nine properties fail on the clamp, not on the model: comparing
+        # the unclamped optima will re-record this properties.csv digest as a
+        # named bugfix.
+        (
+            "dataset.n_clients = 3\nrho = 2\nsystem.t_m_mean = 0.05\n",
+            (
+                "6b3da81d0495f347fcc463bbc14ff9bee3fffa45a7ece80ed2f23544c92d00b3",
+                "286f0f10b0a5cad20f396df701014caf4098334ab62946d5c962ab3801f2b41b",
+                "ab090b94fafba93b60ec6271a9e62ff9e98116d053676e35f6b61f8bbc04255d",
+            ),
+        ),
+    ],
+    ids=["n12", "n3"],
+)
+def test_optimizer_artifacts_match_recorded_digests(tmp_path, fleet, digests):
+    # digests recorded while ACS rounded through its own candidate loop and
+    # verify_properties checked each property in its own block
+    cfg = write_config(tmp_path, FLEET + fleet)
+    out = str(tmp_path / "out")
+    for command in ("validate-properties", "cost-surface", "optimize"):
+        assert main([command, "--config", cfg, "--out", out]) == 0
+    names = ("properties.csv", "cost_surface.csv", "solution.csv")
+    assert tuple(sha256(out, name) for name in names) == digests
+
+
 IDX = """
 seed = 3
 gamma = 0.5

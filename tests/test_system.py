@@ -5,6 +5,7 @@ import pytest
 
 from fedcost.system import (
     AveragedCosts,
+    SystemProfile,
     averaged_costs,
     draw_round_costs,
     load_profile,
@@ -92,6 +93,15 @@ def test_draw_round_costs_validates_ids():
         draw_round_costs(p, [3], np.random.default_rng(0))
     with pytest.raises(ValueError):
         draw_round_costs(p, [], np.random.default_rng(0))
+
+
+def test_profile_freezes_copies_not_the_callers_arrays():
+    t_comp = np.ones(3)
+    p = SystemProfile(t_comp, np.ones(3), np.ones(3), np.ones(3), comm_jitter=0.1)
+    assert t_comp.flags.writeable
+    t_comp[0] = 2.0
+    assert p.t_comp[0] == 1.0
+    assert not p.t_comp.flags.writeable
 
 
 def test_profile_json_roundtrip(tmp_path):
