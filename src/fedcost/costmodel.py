@@ -13,6 +13,7 @@ For a run of R rounds with K sampled clients doing E local steps each:
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +41,8 @@ class ConvergenceCoeffs:
 
 @dataclass(frozen=True)
 class CostReport:
+    """cost_report's result: floats, or arrays shaped like K and E broadcast."""
+
     expected_time: float
     expected_energy: float
     total_cost: float
@@ -119,44 +122,40 @@ def rounds_needed(k, e, coeffs):
 
 
 def p3_objective(k, e, costs, coeffs):
-    """Blended cost of reaching the precision target, as a function of (K, E).
-
-    [(1-gamma)(t_p E + t_m K) + gamma K (e_p E + e_m)] * (rho + phi(K) E^2)
-    / E.  Accepts relaxed (continuous, broadcastable) K and E; only
-    positivity is enforced so finite differences may probe just outside
-    [1, N].
-    """
+    """Blended cost of reaching the precision target as a function of (K, E),
+    [(1-gamma)(t_p E + t_m K) + gamma K (e_p E + e_m)] (rho + phi(K) E^2) / E:
+    cost_report's total_cost.  K and E may be relaxed (continuous,
+    broadcastable); only positivity is enforced, so finite differences may
+    probe just outside [1, N]."""
     if coeffs.n_clients != costs.n_clients:
         raise ValueError("costs and coeffs disagree on the number of clients")
-    k = np.asarray(k, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if np.any(k <= 0) or np.any(e <= 0):
+    if np.any(np.asarray(k) <= 0) or np.any(np.asarray(e) <= 0):
         raise ValueError("k and e must be > 0")
-    g = costs.gamma
-    rate = (1.0 - g) * (costs.t_p * e + costs.t_m * k) + g * k * (costs.e_p * e + costs.e_m)
-    return _scalar(rate * _budget_numerator(k, e, coeffs) / e)
+    return cost_report(k, e, costs, coeffs).total_cost
 
 
 def cost_report(k, e, costs, coeffs):
-    """Predicted time/energy/cost at the round count that meets the
-    precision target."""
+    """Predicted time, energy and blended cost gamma energy + (1 - gamma) time
+    at the round count that meets the precision target; the one place the
+    blended cost is computed.  K and E broadcast: scalar inputs give scalar
+    fields, arrays give arrays."""
     r = rounds_needed(k, e, coeffs)
     t = expected_time_approx(k, e, r, costs)
     en = expected_energy(k, e, r, costs)
-    return CostReport(
-        expected_time=float(t),
-        expected_energy=float(en),
-        total_cost=float(costs.gamma * en + (1.0 - costs.gamma) * t),
-        rounds=float(r),
-    )
+    return CostReport(t, en, costs.gamma * en + (1.0 - costs.gamma) * t, r)
 
 
 def dump_cost_surface(path, costs, coeffs, k_values, e_values):
-    """CSV grid of the objective and its time/energy components."""
+    """CSV grid of the objective and its time/energy components, one
+    cost_report call per K row (one call over the whole grid doubles peak
+    memory on a 500 x 400 surface)."""
+    e_values = [int(e) for e in e_values]
+    e_row = np.array(e_values, dtype=float)
+
     def rows():
         for k in k_values:
-            for e in e_values:
-                rep = cost_report(float(k), float(e), costs, coeffs)
-                yield [int(k), int(e), rep.total_cost, rep.expected_time, rep.expected_energy]
+            rep = cost_report(k, e_row, costs, coeffs)
+            yield from zip(repeat(int(k)), e_values, rep.total_cost.tolist(),
+                           rep.expected_time.tolist(), rep.expected_energy.tolist())
 
     write_csv(path, ["k", "e", "objective", "time_term", "energy_term"], rows())

@@ -28,8 +28,8 @@ from .system import draw_round_costs
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the global loss becomes non-finite or passes
-    _DIVERGED_LOSS_RATIO times the zero model's loss."""
+    """Raised when a round's arithmetic overflows or turns invalid, or its
+    global loss passes _DIVERGED_LOSS_RATIO times the zero model's loss."""
 
 
 @dataclass
@@ -79,14 +79,15 @@ class RoundTrace:
 
 
 def _row_max(a):
-    """Row maxima of an (n, C) array, kept as (n, 1).
+    """Row maxima of an (..., C) array, kept as (..., 1).
 
-    Taken column by column: a maximum is exact in any order, and over the
-    federation's rows numpy's reduce of a short last axis, which runs one row
-    at a time, is several times slower."""
-    top = a[:, :1].copy()
-    for j in range(1, a.shape[1]):
-        np.maximum(top, a[:, j:j + 1], out=top)
+    Taken column by column: a maximum is exact in any order, and over
+    thousands of rows numpy's reduce of a short last axis, which runs one row
+    at a time, is several times slower (over one client's minibatch it is
+    faster)."""
+    top = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(top, a[..., j:j + 1], out=top)
     return top
 
 
@@ -108,7 +109,7 @@ def _residuals(logits, hot, count):
     """Overwrite logits (..., C) with (softmax - one_hot) / count, the per-row
     factor of the mean cross-entropy gradient, and return it; `hot` holds the
     flat positions of the one-hot entries."""
-    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logits -= _row_max(logits)
     np.exp(logits, out=logits)
     logits /= np.add.reduce(logits, axis=-1, keepdims=True)
     logits.reshape(-1)[hot] -= 1.0
@@ -307,9 +308,9 @@ def run_fedavg(dataset, profile, config):
     """Federated averaging with per-round cost accounting.
 
     Stops after max_rounds, or earlier once the post-aggregation global loss
-    reaches target_loss; raises DivergenceError once it is non-finite or
-    passes _DIVERGED_LOSS_RATIO * ln(C).  Returns (final model, per-round
-    traces).
+    reaches target_loss; raises DivergenceError once a round's models or loss
+    overflow or turn invalid, or the loss passes _DIVERGED_LOSS_RATIO * ln(C).
+    Returns (final model, per-round traces).
     """
     n = dataset.n_clients
     if profile.n_clients != n:
@@ -328,9 +329,16 @@ def run_fedavg(dataset, profile, config):
     for r in range(config.max_rounds):
         ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
         lr = config.eta0 / (1.0 + r)
-        w, b = _local_models(model, dataset, ids, config.e, lr, config.batch_size, config.seed, r)
-        model = aggregate(ids, w, b, dataset)
-        loss = global_loss(model, dataset)
+        try:
+            # an overflow raises here, before it can leave non-finite models
+            with np.errstate(over="raise", invalid="raise"):
+                w, b = _local_models(
+                    model, dataset, ids, config.e, lr, config.batch_size, config.seed, r
+                )
+                model = aggregate(ids, w, b, dataset)
+                loss = global_loss(model, dataset)
+        except FloatingPointError as exc:
+            raise DivergenceError(f"diverged at round {r}: {exc}") from None
         if not loss <= loss_limit:  # also true of nan
             raise DivergenceError(
                 f"diverged at round {r}: global loss {loss:.6g}, limit {loss_limit:.6g}"

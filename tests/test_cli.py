@@ -169,8 +169,10 @@ def test_pilot_artifacts_match_recorded_digests(tmp_path):
     pilots = "017cf81fa40f81519aca730bfce09d54bf1f583bf0ace56d46cd4d7849a4efb6"
     assert sha256(est, "estimation.csv") == pilots
     assert sha256(grid, "estimation.csv") == pilots
+    # re-recorded when predicted_cost became cost_report's total_cost: only
+    # its last digits moved, 178.16778848538203 -> 178.16778848538206
     assert sha256(est, "solution.csv") == (
-        "81db83de0f529b2be05bf9b21a8987c590220e2298e6ede111295fb3fa2f4fc3"
+        "40976fe1ce61ca9d8f27e7a77c56b147456057c8840594e0129714bb5a6ee8d1"
     )
     assert sha256(grid, "solution.csv") == (
         "20f2ec1cba1d72880892cd8ce09e84935f9582e7d9636c6cbb5db0483934aa9f"
@@ -201,18 +203,23 @@ dataset.size_std = 10
 system.t_p_std = 0.2
 control.e_max = 60
 """
+N12 = "dataset.n_clients = 12\nrho = 900\n"
+N3 = "dataset.n_clients = 3\nrho = 2\nsystem.t_m_mean = 0.05\n"
 
 
 @pytest.mark.parametrize(
     "fleet, digests",
     [
-        # N = 12: every property passes; ACS rounds E between 4 and 5 at K = 1
+        # N = 12: every property passes; ACS rounds E between 4 and 5 at K = 1.
+        # solution.csv was re-recorded when predicted_cost became cost_report's
+        # total_cost: 368.6200995278382 -> 368.62009952783814, the objective
+        # cost_surface.csv writes at (1, 4)
         (
-            "dataset.n_clients = 12\nrho = 900\n",
+            N12,
             (
                 "158ac3cfa889c43f70ba741eb59bf0c4564ce933c424a3eba226ca57d42d7d1e",
                 "36ddae758c584409533b6f7d35893e2110cce678e76e55779030c2ad3d121ae8",
-                "74a08f7309cf2cca4c35051a877a4691cc3ba2a50cf7e8997e487eb2d2e31580",
+                "f57f35c8ee0090095986c41f4744162894768b2496c547feebfaaeffe323e96f",
             ),
         ),
         # N = 3: the unimodality check skips K = 5 and 10, E* is solved at
@@ -221,7 +228,7 @@ control.e_max = 60
         # the unclamped optima will re-record this properties.csv digest as a
         # named bugfix.
         (
-            "dataset.n_clients = 3\nrho = 2\nsystem.t_m_mean = 0.05\n",
+            N3,
             (
                 "6b3da81d0495f347fcc463bbc14ff9bee3fffa45a7ece80ed2f23544c92d00b3",
                 "286f0f10b0a5cad20f396df701014caf4098334ab62946d5c962ab3801f2b41b",
@@ -240,6 +247,24 @@ def test_optimizer_artifacts_match_recorded_digests(tmp_path, fleet, digests):
         assert main([command, "--config", cfg, "--out", out]) == 0
     names = ("properties.csv", "cost_surface.csv", "solution.csv")
     assert tuple(sha256(out, name) for name in names) == digests
+
+
+@pytest.mark.parametrize("fleet", [N12, N3], ids=["n12", "n3"])
+@pytest.mark.parametrize("command, mode", [
+    ("optimize", ""), ("run", "mode = grid\ntrain.max_rounds = 2\n"),
+], ids=["optimize", "run-grid"])
+def test_predicted_cost_is_the_cost_surface_objective(tmp_path, fleet, command, mode):
+    # one blended-cost formula: solution.csv and cost_surface.csv write the
+    # same text for the chosen cell
+    cfg = write_config(tmp_path, FLEET + fleet + mode)
+    out = str(tmp_path / "out")
+    for name in ("cost-surface", command):
+        assert main([name, "--config", cfg, "--out", out]) == 0
+    header, row = (line.split(",") for line in read(out, "solution.csv").split())
+    sol = dict(zip(header, row))
+    cells = [line.split(",") for line in read(out, "cost_surface.csv").split()[1:]]
+    objective = {(k, e): cost for k, e, cost, _, _ in cells}
+    assert sol["predicted_cost"] == objective[sol["k_star"], sol["e_star"]]
 
 
 IDX = """
@@ -554,6 +579,18 @@ def test_huge_step_size_ends_in_divergence(tmp_path, capsys, mode):
     assert main(["run", "--config", write_config(tmp_path, body), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_step_size_is_one_divergence_line(tmp_path, capsys):
+    # at eta0 = 1e308 the first update overflows; numpy must not warn, and the
+    # non-finite models must end in the divergence diagnostic
+    body = BASE.format(gamma=0.5) + FIXED + "train.eta0 = 1e308\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, body), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: diverged at round")
     assert not os.path.exists(out)
 
 

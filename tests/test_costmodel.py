@@ -1,11 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_costs
 from fedcost.costmodel import (
     ConvergenceCoeffs,
+    CostReport,
     convergence_bound,
     cost_report,
     dump_cost_surface,
@@ -182,7 +186,7 @@ def test_p3_equals_blended_cost_at_required_rounds():
         blended = costs.gamma * expected_energy(k, e, r, costs) + (
             1 - costs.gamma
         ) * expected_time_approx(k, e, r, costs)
-        assert p3_objective(k, e, costs, coeffs) == pytest.approx(blended, rel=1e-12)
+        assert p3_objective(k, e, costs, coeffs) == blended
 
 
 def test_p3_rejects_mismatched_client_counts():
@@ -224,11 +228,40 @@ def test_objective_is_biconvex_by_finite_differences():
 def test_cost_report_consistency(sim_costs):
     coeffs = ConvergenceCoeffs(rho=1850, n_clients=100)
     rep = cost_report(10, 20, sim_costs, coeffs)
-    assert rep.total_cost == pytest.approx(
-        sim_costs.gamma * rep.expected_energy + (1 - sim_costs.gamma) * rep.expected_time,
-        rel=1e-12,
+    assert rep.total_cost == (
+        sim_costs.gamma * rep.expected_energy + (1 - sim_costs.gamma) * rep.expected_time
     )
-    assert rep.total_cost == pytest.approx(p3_objective(10, 20, sim_costs, coeffs), rel=1e-12)
+    assert rep.total_cost == p3_objective(10, 20, sim_costs, coeffs)
+
+
+_PRICE = st.floats(1e-4, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    costs=st.builds(
+        AveragedCosts,
+        n_clients=st.one_of(st.just(1), st.integers(1, 200)),
+        t_p=_PRICE, t_m=_PRICE, e_p=_PRICE, e_m=_PRICE,
+        gamma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    ),
+    rho=st.floats(0.1, 1e5),
+    k_share=st.floats(0.0, 1.0),
+    e_row=st.lists(st.one_of(st.integers(1, 100), st.floats(1.0, 100.0)), min_size=1,
+                   max_size=30),
+)
+def test_one_call_per_row_equals_the_cells_bit_for_bit(costs, rho, k_share, e_row):
+    # cost_report is the one blended-cost formula: a row call (as the cost
+    # surface makes) and p3_objective (grid search, ACS) give each cell's bits
+    coeffs = ConvergenceCoeffs(rho=rho, n_clients=costs.n_clients)
+    k = 1.0 + k_share * (costs.n_clients - 1)
+    row = cost_report(k, np.array(e_row, dtype=float), costs, coeffs)
+    for j, e in enumerate(e_row):
+        cell = cost_report(k, e, costs, coeffs)
+        for field in fields(CostReport):
+            assert getattr(row, field.name)[j] == getattr(cell, field.name)
+        assert p3_objective(k, e, costs, coeffs) == cell.total_cost
+    assert p3_objective(k, e_row, costs, coeffs).tobytes() == row.total_cost.tobytes()
 
 
 def test_cost_surface_dump(tmp_path, sim_costs):

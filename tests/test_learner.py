@@ -8,6 +8,7 @@ from fedcost.datagen import FederatedDataset
 from fedcost.learner import (
     ModelParams,
     TrainConfig,
+    _row_max,
     aggregate,
     ce_gradient,
     export_traces,
@@ -425,3 +426,10 @@ def test_round_engine_equals_per_client_local_sgd_on_random_shapes(
     dataset = mixed_dataset(sizes, n_features, n_classes, seed)
     config = TrainConfig(k=k, e=e, batch_size=batch_size, eta0=0.3, max_rounds=rounds, seed=seed)
     assert_engine_equals_per_client_loop(dataset, config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=3, max_side=6),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_row_max_is_the_max_over_the_last_axis(a):
+    assert np.array_equal(_row_max(a), np.max(a, axis=-1, keepdims=True), equal_nan=True)
