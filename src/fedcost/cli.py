@@ -45,7 +45,8 @@ def build_dataset(config):
     )
 
 
-def build_profile(config, n_clients):
+def build_profile(config):
+    n_clients = config["dataset.n_clients"]
     path = config["system.profile"]
     if path is not None:
         profile = system.load_profile(path)
@@ -79,18 +80,12 @@ def build_train_config(config, k, e):
     )
 
 
-def _build(config):
-    """The dataset, its fleet's profile and the fleet-averaged costs."""
-    dataset = build_dataset(config)
-    profile = build_profile(config, dataset.n_clients)
-    return dataset, profile, system.averaged_costs(profile, config["gamma"])
-
-
-def _fleet_costs(config):
-    """Averaged costs of the configured fleet, without building the dataset:
-    every dataset kind has exactly dataset.n_clients shards."""
-    profile = build_profile(config, config["dataset.n_clients"])
-    return system.averaged_costs(profile, config["gamma"])
+def _fleet(config):
+    """The fleet's profile and averaged costs.  N is dataset.n_clients, the
+    shard count of every dataset kind, so only the pilots and training build
+    the dataset; they build it first, so its errors come first."""
+    profile = build_profile(config)
+    return profile, system.averaged_costs(profile, config["gamma"])
 
 
 def _grid_ranges(config, n_clients):
@@ -100,7 +95,7 @@ def _grid_ranges(config, n_clients):
 
 def _solve(config, dataset, profile, costs, rho, grid=False):
     """Pick (K*, E*) by ACS, or by grid search when `grid`; with rho None,
-    estimate rho from the pilot runs first.  Writes nothing.  Returns
+    estimate rho from pilot runs on `dataset` first.  Writes nothing.  Returns
     (solution, rho, pilot records, overhead ratio), the last two None when
     rho was given; the overhead ratio is the pilots' local steps over the
     solution's K* E* R*."""
@@ -123,9 +118,9 @@ def _solve(config, dataset, profile, costs, rho, grid=False):
             pilot_train,
         )
         rho, records = estimate.rho, estimate.records
-    coeffs = ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients)
+    coeffs = ConvergenceCoeffs(rho=rho, n_clients=costs.n_clients)
     if grid:
-        solution = optimizer.grid_search(costs, coeffs, *_grid_ranges(config, dataset.n_clients))
+        solution = optimizer.grid_search(costs, coeffs, *_grid_ranges(config, costs.n_clients))
     else:
         solution = optimizer.acs_optimize(costs, coeffs)
     if records is not None:
@@ -133,15 +128,20 @@ def _solve(config, dataset, profile, costs, rho, grid=False):
     return solution, rho, records, overhead
 
 
-def _write_solution(out_dir, solution, rho, records, overhead):
-    """Write _solve's result: solution.csv, and estimation.csv after pilots."""
+def _write_solution(config, solution, rho, records, overhead):
+    """Write _solve's result: solution.csv, and estimation.csv after pilots;
+    warn on stderr when R* exceeds the round cap."""
+    out_dir, cap = config["out"], config["train.max_rounds"]
     if records is not None:
         optimizer.write_estimation_csv(records, os.path.join(out_dir, "estimation.csv"))
     optimizer.write_solution_csv(solution, os.path.join(out_dir, "solution.csv"), rho, overhead)
+    if solution.r_star > cap:
+        print(f"warning: R*={solution.r_star} exceeds train.max_rounds={cap}", file=sys.stderr)
 
 
 def cmd_run(config, out_dir):
-    dataset, profile, costs = _build(config)
+    dataset = build_dataset(config)
+    profile, costs = _fleet(config)
     mode = config["mode"]
     solved = None
     if mode == "fixed":
@@ -152,7 +152,7 @@ def cmd_run(config, out_dir):
 
     _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
     if solved is not None:  # only once training has succeeded
-        _write_solution(out_dir, *solved)
+        _write_solution(config, *solved)
     learner.export_traces(
         traces, os.path.join(out_dir, "traces.csv"), Strategy(config["scheduler"])
     )
@@ -161,8 +161,9 @@ def cmd_run(config, out_dir):
 
 
 def cmd_optimize(config, out_dir):
-    solved = _solve(config, *_build(config), config["rho"])
-    _write_solution(out_dir, *solved)
+    dataset = build_dataset(config) if config["rho"] is None else None  # only pilots train
+    solved = _solve(config, dataset, *_fleet(config), config["rho"])
+    _write_solution(config, *solved)
     solution = solved[0]
     print(
         f"optimize: K*={solution.k_star} E*={solution.e_star} R*={solution.r_star} "
@@ -172,15 +173,15 @@ def cmd_optimize(config, out_dir):
 
 
 def cmd_estimate(config, out_dir):
-    solved = _solve(config, *_build(config), rho=None)
-    _write_solution(out_dir, *solved)
+    solved = _solve(config, build_dataset(config), *_fleet(config), rho=None)
+    _write_solution(config, *solved)
     _, rho, _, overhead = solved
     print(f"estimate: rho={rho:.6g} overhead_ratio={overhead:.4f}")
     return 0
 
 
 def cmd_compare_schedulers(config, out_dir):
-    dataset, profile, _ = _build(config)
+    dataset, profile = build_dataset(config), build_profile(config)
     target = config["train.target_loss"]
     variable = config["sweep.variable"]
     values = config["sweep.values"]
@@ -210,7 +211,7 @@ def cmd_compare_schedulers(config, out_dir):
 
 
 def cmd_validate_properties(config, out_dir):
-    costs = _fleet_costs(config)
+    _, costs = _fleet(config)
     coeffs = ConvergenceCoeffs(rho=config["rho"], n_clients=costs.n_clients)
     findings = optimizer.verify_properties(costs, coeffs)
     optimizer.write_properties_csv(findings, os.path.join(out_dir, "properties.csv"))
@@ -223,7 +224,7 @@ def cmd_validate_properties(config, out_dir):
 
 
 def cmd_cost_surface(config, out_dir):
-    costs = _fleet_costs(config)
+    _, costs = _fleet(config)
     coeffs = ConvergenceCoeffs(rho=config["rho"], n_clients=costs.n_clients)
     k_range, e_range = _grid_ranges(config, costs.n_clients)
     costmodel.dump_cost_surface(

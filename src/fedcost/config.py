@@ -97,14 +97,14 @@ SCHEMA = {
     "train.batch_size": (_count, 64),
     "train.eta0": (_non_negative, 0.1),
     "train.max_rounds": (_count, 300),
-    "train.target_loss": (float, None),
+    "train.target_loss": (_finite, None),
     "control.k": (_count, None),
     "control.e": (_count, None),
     "control.k_max": (_count, None),
     "control.e_max": (_count, 100),
     "estimate.pairs": (_pairs, None),
-    "estimate.loss_a": (float, None),
-    "estimate.loss_b": (float, None),
+    "estimate.loss_a": (_finite, None),
+    "estimate.loss_b": (_finite, None),
     "estimate.round_cap": (_count, 500),
     "sweep.variable": (_choice("k", "e", parse=str.lower), None),
     "sweep.values": (_counts, None),
@@ -144,15 +144,18 @@ def parse_config(path):
     return {key: parsed.get(key, default) for key, (_, default) in SCHEMA.items()}
 
 
-# the commands that build the dataset; the others take N from dataset.n_clients
-_BUILDS_DATASET = ("run", "optimize", "estimate", "compare-schedulers")
-
-
 def needs_for_command(config, command):
     """Per-command requirement check on the resolved config, where an absent
     key reads None; returns a list of problems.  Every K the command would
-    train at must lie within dataset.n_clients."""
+    train at must lie within dataset.n_clients, and an idx dataset must name
+    its files exactly when the command trains: the others need only N."""
     problems = []
+    has_rho = config["rho"] is not None
+    has_plan = all(
+        config[k] is not None for k in ("estimate.pairs", "estimate.loss_a", "estimate.loss_b")
+    )
+    solves = command == "optimize" or command == "run" and config["mode"] in ("optimize", "grid")
+    pilots = command == "estimate" or solves and not has_rho
 
     def need(*keys):
         problems.extend(f"missing required key: {k}" for k in keys if config[k] is None)
@@ -164,13 +167,8 @@ def needs_for_command(config, command):
         )
 
     need("gamma", "dataset.kind", "dataset.n_clients")
-    if config["dataset.kind"] == "idx" and command in _BUILDS_DATASET:
+    if config["dataset.kind"] == "idx" and (pilots or command in ("run", "compare-schedulers")):
         need("dataset.images", "dataset.labels", "dataset.samples_per_client")
-
-    has_rho = config["rho"] is not None
-    has_plan = all(
-        config[k] is not None for k in ("estimate.pairs", "estimate.loss_a", "estimate.loss_b")
-    )
 
     if command == "run":
         need("mode")
@@ -199,8 +197,7 @@ def needs_for_command(config, command):
             within_n("sweep.values", *(config["sweep.values"] or ()))
     elif command in ("validate-properties", "cost-surface") and not has_rho:
         problems.append(f"{command} needs rho")
-    solves = command == "optimize" or command == "run" and config["mode"] in ("optimize", "grid")
-    if command == "estimate" or solves and not has_rho:  # the pilots train
+    if pilots:
         within_n("estimate.pairs", *(k for k, _ in config["estimate.pairs"] or ()))
         loss_a, loss_b = config["estimate.loss_a"], config["estimate.loss_b"]
         if has_plan and not loss_a > loss_b:

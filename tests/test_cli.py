@@ -1,7 +1,5 @@
-import ast
 import dataclasses
 import hashlib
-import importlib
 import inspect
 import json
 import os
@@ -393,14 +391,69 @@ def test_scheduler_only_prices_the_rounds(tmp_path):
     assert opt != wait
 
 
+_IDX_FILES = {f"missing required key: dataset.{key}"
+              for key in ("images", "labels", "samples_per_client")}
+
+
 def test_cost_model_commands_need_no_idx_paths(tmp_path):
     body = "gamma = 0.5\nrho = 300\ndataset.kind = idx\ndataset.n_clients = 5\n"
     cfg = write_config(tmp_path, body)
-    for cmd in ("validate-properties", "cost-surface"):
+    for cmd in ("validate-properties", "cost-surface", "optimize"):
         assert main([cmd, "--config", cfg, "--out", str(tmp_path / cmd)]) == 0
-    problems = needs_for_command(parse_config(cfg), "run")
-    assert {"missing required key: dataset.images",
-            "missing required key: dataset.samples_per_client"} <= set(problems)
+    # N, the profile and the costs come from the config alone: the synthetic
+    # twin solves to the same bytes
+    twin = write_config(tmp_path, body.replace("= idx", "= synthetic"), "twin.cfg")
+    assert main(["optimize", "--config", twin, "--out", str(tmp_path / "twin")]) == 0
+    assert read(tmp_path / "optimize", "solution.csv") == read(tmp_path / "twin", "solution.csv")
+    config = parse_config(cfg)
+    for cmd in ("run", "estimate", "compare-schedulers"):
+        assert _IDX_FILES <= set(needs_for_command(config, cmd)), cmd
+    assert _IDX_FILES <= set(needs_for_command({**config, "rho": None}, "optimize"))
+
+
+@pytest.mark.parametrize("command, body", [
+    ("run", FIXED),
+    ("run", "mode = optimize\nrho = 500\n"),
+    ("run", PLAN + "mode = optimize\n"),
+    ("run", "mode = grid\nrho = 500\ncontrol.e_max = 20\n"),
+    ("optimize", "rho = 500\n"),
+    ("optimize", PLAN),
+    ("estimate", PLAN),
+    ("compare-schedulers", SWEEP_K),
+    ("validate-properties", "rho = 500\n"),
+    ("cost-surface", "rho = 500\ncontrol.e_max = 20\n"),
+], ids=["run-fixed", "run-optimize-rho", "run-optimize-plan", "run-grid", "optimize-rho",
+        "optimize-plan", "estimate", "compare-schedulers", "validate-properties",
+        "cost-surface"])
+def test_dataset_is_built_exactly_when_an_idx_config_must_name_its_files(
+        tmp_path, monkeypatch, command, body):
+    builds = []
+
+    def recording_build(config):
+        builds.append(command)
+        return build_dataset(config)
+
+    monkeypatch.setattr("fedcost.cli.build_dataset", recording_build)
+    body = BASE.format(gamma=0.5) + body
+    cfg = write_config(tmp_path, body)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    twin = parse_config(write_config(tmp_path, body.replace("= synthetic", "= idx"), "idx.cfg"))
+    asks = "missing required key: dataset.images" in needs_for_command(twin, command)
+    assert len(builds) == int(asks)
+
+
+@pytest.mark.parametrize("command", ["optimize", "run"])
+def test_r_star_above_the_round_cap_is_one_warning(tmp_path, capsys, command):
+    # rho = 500 on BASE gives R* = 133: above the cap of 40, below one of 200
+    body = BASE.format(gamma=0.5) + "mode = optimize\nrho = 500\n"
+    outs = {}
+    for cap in (40, 200):
+        cfg = write_config(tmp_path, body.replace("max_rounds = 40", f"max_rounds = {cap}"))
+        outs[cap] = str(tmp_path / str(cap))
+        assert main([command, "--config", cfg, "--out", outs[cap]]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == (["warning: R*=133 exceeds train.max_rounds=40"] if cap == 40 else [])
+    assert read(outs[40], "solution.csv") == read(outs[200], "solution.csv")
 
 
 def test_empty_sweep_values_fails_before_any_output(tmp_path, capsys):
@@ -663,23 +716,6 @@ def test_shipped_configs_parse():
     assert needs_for_command(cmp_cfg, "compare-schedulers") == []
 
 
-def test_perfbench_trace_targets_resolve():
-    # perfbench/spans.py wraps these functions by name under --trace 1, so a
-    # rename in fedcost must show here; TARGETS is read, not imported
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
-    with open(path) as fh:
-        tree = ast.parse(fh.read())
-    (targets,) = [
-        ast.literal_eval(node.value) for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
-    ]
-    assert targets
-    for module, name in targets:
-        assert callable(getattr(importlib.import_module(f"fedcost.{module}"), name, None)), (
-            f"{module}.{name}"
-        )
-
-
 def compensated_sum(values, start=0):
     """Neumaier's compensated sum, as the builtin sum() adds floats from
     Python 3.12 on."""
@@ -779,6 +815,11 @@ _PILOT_HEAD = "gamma = 0.5\ndataset.kind = synthetic\ndataset.n_clients = 8\n"
     ("train.eta0 = nan", "line 4: bad value for train.eta0: must be finite"),
     ("train.eta0 = inf", "line 4: bad value for train.eta0: must be finite"),
     ("rho = inf", "line 4: bad value for rho: must be finite"),
+    ("train.target_loss = nan", "line 4: bad value for train.target_loss: must be finite"),
+    ("train.target_loss = inf", "line 4: bad value for train.target_loss: must be finite"),
+    ("estimate.loss_a = inf", "line 4: bad value for estimate.loss_a: must be finite"),
+    ("estimate.loss_a = nan", "line 4: bad value for estimate.loss_a: must be finite"),
+    ("estimate.loss_b = -inf", "line 4: bad value for estimate.loss_b: must be finite"),
     ("estimate.pairs = 2:5 2:5",
      "line 4: bad value for estimate.pairs: needs at least two distinct K:E pairs"),
     ("estimate.pairs = 2:5 4:10\nestimate.loss_a = 1.2\nestimate.loss_b = 1.2",
