@@ -3,9 +3,9 @@
 Subcommands: run, optimize, estimate, compare-schedulers,
 validate-properties, cost-surface.  Every command reads one config file
 (--config), honors --seed and --out overrides, writes CSV artifacts into the
-output directory, and exits non-zero with a diagnostic line on failure.
-Identical config + seed reruns produce byte-identical files; all reported
-times are simulated, never host wall-clock.
+output directory (created with the first of them), and exits non-zero with a
+diagnostic line on failure.  Identical config + seed reruns produce
+byte-identical files; all reported times are simulated, never host wall-clock.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import costmodel, datagen, learner, optimizer, system
-from .config import ConfigError, needs_for_command, parse_config
+from .config import ConfigError, parse_config
 from .costmodel import ConvergenceCoeffs
 from .csvio import write_csv
 from .learner import TrainConfig, run_fedavg
@@ -80,25 +80,18 @@ def build_train_config(config, k, e):
     )
 
 
-def _fleet(config):
-    """The fleet's profile and averaged costs.  N is dataset.n_clients, the
-    shard count of every dataset kind, so only the pilots and training build
-    the dataset; they build it first, so its errors come first."""
-    profile = build_profile(config)
-    return profile, system.averaged_costs(profile, config["gamma"])
-
-
 def _grid_ranges(config, n_clients):
     k_max = min(config["control.k_max"] or n_clients, n_clients)  # k_max defaults to N
     return range(1, k_max + 1), range(1, config["control.e_max"] + 1)
 
 
-def _solve(config, dataset, profile, costs, rho, grid=False):
-    """Pick (K*, E*) by ACS, or by grid search when `grid`; with rho None,
-    estimate rho from pilot runs on `dataset` first.  Writes nothing.  Returns
-    (solution, rho, pilot records, overhead ratio), the last two None when
-    rho was given; the overhead ratio is the pilots' local steps over the
-    solution's K* E* R*."""
+def _solve(config, dataset, profile, rho, grid=False):
+    """Pick (K*, E*) by ACS, or by grid search when `grid`, at the profile's
+    averaged costs priced by gamma; with rho None, estimate rho from pilot
+    runs on `dataset` first.  Writes nothing.  Returns (solution, rho, pilot
+    records, overhead ratio), the last two None when rho was given; the
+    overhead ratio is the pilots' local steps over the solution's K* E* R*."""
+    costs = system.averaged_costs(profile, config["gamma"])
     records = overhead = None
     if rho is None:
         # the run's training settings, seeded apart; each pilot sets its own
@@ -139,30 +132,29 @@ def _write_solution(config, solution, rho, records, overhead):
         print(f"warning: R*={solution.r_star} exceeds train.max_rounds={cap}", file=sys.stderr)
 
 
-def cmd_run(config, out_dir):
-    dataset = build_dataset(config)
-    profile, costs = _fleet(config)
+def cmd_run(config):
+    dataset, profile = build_dataset(config), build_profile(config)
     mode = config["mode"]
     solved = None
     if mode == "fixed":
         k, e = config["control.k"], config["control.e"]
     else:
-        solved = _solve(config, dataset, profile, costs, config["rho"], grid=mode == "grid")
+        solved = _solve(config, dataset, profile, config["rho"], grid=mode == "grid")
         k, e = solved[0].k_star, solved[0].e_star
 
     _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
     if solved is not None:  # only once training has succeeded
         _write_solution(config, *solved)
     learner.export_traces(
-        traces, os.path.join(out_dir, "traces.csv"), Strategy(config["scheduler"])
+        traces, os.path.join(config["out"], "traces.csv"), Strategy(config["scheduler"])
     )
     print(f"run: K={k} E={e} rounds={len(traces)} final_loss={traces[-1].loss:.6f}")
     return 0
 
 
-def cmd_optimize(config, out_dir):
+def cmd_optimize(config):
     dataset = build_dataset(config) if config["rho"] is None else None  # only pilots train
-    solved = _solve(config, dataset, *_fleet(config), config["rho"])
+    solved = _solve(config, dataset, build_profile(config), config["rho"])
     _write_solution(config, *solved)
     solution = solved[0]
     print(
@@ -172,15 +164,15 @@ def cmd_optimize(config, out_dir):
     return 0
 
 
-def cmd_estimate(config, out_dir):
-    solved = _solve(config, build_dataset(config), *_fleet(config), rho=None)
+def cmd_estimate(config):
+    solved = _solve(config, build_dataset(config), build_profile(config), rho=None)
     _write_solution(config, *solved)
     _, rho, _, overhead = solved
     print(f"estimate: rho={rho:.6g} overhead_ratio={overhead:.4f}")
     return 0
 
 
-def cmd_compare_schedulers(config, out_dir):
+def cmd_compare_schedulers(config):
     dataset, profile = build_dataset(config), build_profile(config)
     target = config["train.target_loss"]
     variable = config["sweep.variable"]
@@ -202,7 +194,7 @@ def cmd_compare_schedulers(config, out_dir):
                 total += round_time(t.job, strategy)
             rows.append([strategy.value, variable, value, total, len(traces), reached])
     write_csv(
-        os.path.join(out_dir, "schedulers.csv"),
+        os.path.join(config["out"], "schedulers.csv"),
         ["strategy", "sweep_variable", "sweep_value", "total_time_s", "rounds", "reached"],
         rows,
     )
@@ -210,11 +202,11 @@ def cmd_compare_schedulers(config, out_dir):
     return 0
 
 
-def cmd_validate_properties(config, out_dir):
-    _, costs = _fleet(config)
+def cmd_validate_properties(config):
+    costs = system.averaged_costs(build_profile(config), config["gamma"])
     coeffs = ConvergenceCoeffs(rho=config["rho"], n_clients=costs.n_clients)
     findings = optimizer.verify_properties(costs, coeffs)
-    optimizer.write_properties_csv(findings, os.path.join(out_dir, "properties.csv"))
+    optimizer.write_properties_csv(findings, os.path.join(config["out"], "properties.csv"))
     failed = [f.name for f in findings if not f.passed]
     print(
         f"validate-properties: {len(findings) - len(failed)}/{len(findings)} passed"
@@ -223,12 +215,12 @@ def cmd_validate_properties(config, out_dir):
     return 0
 
 
-def cmd_cost_surface(config, out_dir):
-    _, costs = _fleet(config)
+def cmd_cost_surface(config):
+    costs = system.averaged_costs(build_profile(config), config["gamma"])
     coeffs = ConvergenceCoeffs(rho=config["rho"], n_clients=costs.n_clients)
     k_range, e_range = _grid_ranges(config, costs.n_clients)
     costmodel.dump_cost_surface(
-        os.path.join(out_dir, "cost_surface.csv"), costs, coeffs, k_range, e_range
+        os.path.join(config["out"], "cost_surface.csv"), costs, coeffs, k_range, e_range
     )
     print(f"cost-surface: {len(k_range)} x {len(e_range)} grid written")
     return 0
@@ -244,24 +236,67 @@ _COMMANDS = {
 }
 
 
-def _missing_dirs(path):
-    """`path` and those of its parents that do not exist yet, deepest first."""
-    missing = []
-    path = os.path.abspath(path)
-    while not os.path.exists(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    return missing
+def needs_for_command(config, command):
+    """Per-command requirement check on the resolved config, where an absent
+    key reads None; returns a list of problems.  Every K the command would
+    train at must lie within dataset.n_clients, an idx dataset must name its
+    files exactly when the command trains, and gamma is needed exactly when
+    the command prices a cost: the others need only N."""
+    problems = []
+    has_rho = config["rho"] is not None
+    has_plan = all(
+        config[k] is not None for k in ("estimate.pairs", "estimate.loss_a", "estimate.loss_b")
+    )
+    solves = command == "optimize" or command == "run" and config["mode"] in ("optimize", "grid")
+    pilots = command == "estimate" or solves and not has_rho
+    prices = solves or pilots or command in ("validate-properties", "cost-surface")
 
+    def need(*keys):
+        problems.extend(f"missing required key: {k}" for k in keys if config[k] is None)
 
-def _remove_empty(dirs):
-    """Remove the directories a failed command created, deepest first, while
-    they are empty; one that holds a file stays, with its parents."""
-    for path in dirs:
-        try:
-            os.rmdir(path)
-        except OSError:
-            return
+    def within_n(key, *ks):
+        n = config["dataset.n_clients"]
+        problems.extend(
+            f"{key}: K = {k} exceeds dataset.n_clients = {n}" for k in ks if n and k and k > n
+        )
+
+    if prices:
+        need("gamma")
+    need("dataset.kind", "dataset.n_clients")
+    if config["dataset.kind"] == "idx" and (pilots or command in ("run", "compare-schedulers")):
+        need("dataset.images", "dataset.labels", "dataset.samples_per_client")
+
+    if command == "run":
+        need("mode")
+        mode = config["mode"]
+        if mode == "fixed":
+            need("control.k", "control.e")
+            within_n("control.k", config["control.k"])
+        elif mode in ("optimize", "grid") and not (has_rho or has_plan):
+            problems.append(
+                "mode=%s needs rho or a complete estimation plan "
+                "(estimate.pairs, estimate.loss_a, estimate.loss_b)" % mode
+            )
+    elif command == "optimize" and not (has_rho or has_plan):
+        problems.append("optimize needs rho or a complete estimation plan")
+    elif command == "estimate" and not has_plan:
+        problems.append("estimate needs estimate.pairs, estimate.loss_a and estimate.loss_b")
+    elif command == "compare-schedulers":
+        need("sweep.variable", "sweep.values", "train.target_loss")
+        if config["sweep.variable"] == "e":
+            need("sweep.k")
+            within_n("sweep.k", config["sweep.k"])
+        elif config["sweep.variable"] == "k":
+            need("sweep.e")
+            within_n("sweep.values", *(config["sweep.values"] or ()))
+    elif command in ("validate-properties", "cost-surface") and not has_rho:
+        problems.append(f"{command} needs rho")
+    if pilots:
+        within_n("estimate.pairs", *(k for k, _ in config["estimate.pairs"] or ()))
+        loss_a, loss_b = config["estimate.loss_a"], config["estimate.loss_b"]
+        if has_plan and not loss_a > loss_b:
+            problems.append(f"estimate.loss_a = {loss_a} must exceed estimate.loss_b = {loss_b}")
+    return problems
 
 
 def main(argv=None):
@@ -277,7 +312,6 @@ def main(argv=None):
         p.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
 
-    created = []
     try:
         config = parse_config(args.config)
         if args.seed is not None:
@@ -289,12 +323,8 @@ def main(argv=None):
         problems = needs_for_command(config, args.command)
         if problems:
             raise ConfigError(problems)
-        out_dir = config["out"]
-        created = _missing_dirs(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        return _COMMANDS[args.command](config, out_dir)
+        return _COMMANDS[args.command](config)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
-        _remove_empty(created)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,7 +4,8 @@ Lines are `key = value`; blank lines and `#` comments are ignored.  Keys are
 dotted (dataset.*, system.*, train.*, control.*, estimate.*, sweep.*) and
 fully enumerated in SCHEMA below; unknown keys are hard errors, and every
 violation found is reported, not just the first.  Each key's SCHEMA parser
-is the one place that converts and checks its value.
+is the one place that converts and checks its value; which keys a command
+requires is decided in fedcost.cli.
 """
 
 import math
@@ -65,7 +66,7 @@ _pairs = _checked(
 
 
 # key -> (parser, default); a default of None means the key has none, so a
-# command that needs the key requires it (see needs_for_command).
+# command that needs the key requires it (see cli.needs_for_command).
 # control.k_max has the one derived default: N, the dataset's client count.
 SCHEMA = {
     "mode": (_choice("fixed", "optimize", "grid"), None),
@@ -142,64 +143,3 @@ def parse_config(path):
     if problems:
         raise ConfigError(problems)
     return {key: parsed.get(key, default) for key, (_, default) in SCHEMA.items()}
-
-
-def needs_for_command(config, command):
-    """Per-command requirement check on the resolved config, where an absent
-    key reads None; returns a list of problems.  Every K the command would
-    train at must lie within dataset.n_clients, and an idx dataset must name
-    its files exactly when the command trains: the others need only N."""
-    problems = []
-    has_rho = config["rho"] is not None
-    has_plan = all(
-        config[k] is not None for k in ("estimate.pairs", "estimate.loss_a", "estimate.loss_b")
-    )
-    solves = command == "optimize" or command == "run" and config["mode"] in ("optimize", "grid")
-    pilots = command == "estimate" or solves and not has_rho
-
-    def need(*keys):
-        problems.extend(f"missing required key: {k}" for k in keys if config[k] is None)
-
-    def within_n(key, *ks):
-        n = config["dataset.n_clients"]
-        problems.extend(
-            f"{key}: K = {k} exceeds dataset.n_clients = {n}" for k in ks if n and k and k > n
-        )
-
-    need("gamma", "dataset.kind", "dataset.n_clients")
-    if config["dataset.kind"] == "idx" and (pilots or command in ("run", "compare-schedulers")):
-        need("dataset.images", "dataset.labels", "dataset.samples_per_client")
-
-    if command == "run":
-        need("mode")
-        mode = config["mode"]
-        if mode == "fixed":
-            need("control.k", "control.e")
-            within_n("control.k", config["control.k"])
-        elif mode in ("optimize", "grid") and not (has_rho or has_plan):
-            problems.append(
-                "mode=%s needs rho or a complete estimation plan "
-                "(estimate.pairs, estimate.loss_a, estimate.loss_b)" % mode
-            )
-    elif command == "optimize" and not (has_rho or has_plan):
-        problems.append("optimize needs rho or a complete estimation plan")
-    elif command == "estimate" and not has_plan:
-        problems.append(
-            "estimate needs estimate.pairs, estimate.loss_a and estimate.loss_b"
-        )
-    elif command == "compare-schedulers":
-        need("sweep.variable", "sweep.values", "train.target_loss")
-        if config["sweep.variable"] == "e":
-            need("sweep.k")
-            within_n("sweep.k", config["sweep.k"])
-        elif config["sweep.variable"] == "k":
-            need("sweep.e")
-            within_n("sweep.values", *(config["sweep.values"] or ()))
-    elif command in ("validate-properties", "cost-surface") and not has_rho:
-        problems.append(f"{command} needs rho")
-    if pilots:
-        within_n("estimate.pairs", *(k for k, _ in config["estimate.pairs"] or ()))
-        loss_a, loss_b = config["estimate.loss_a"], config["estimate.loss_b"]
-        if has_plan and not loss_a > loss_b:
-            problems.append(f"estimate.loss_a = {loss_a} must exceed estimate.loss_b = {loss_b}")
-    return problems

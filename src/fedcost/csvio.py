@@ -25,7 +25,7 @@ def write_csv(path, header, rows):
     produce byte-identical files.
     """
     header = list(header)
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(path) or os.curdir  # an error names it as given
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:

@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import write_idx, write_oversized_idx
-from fedcost.cli import build_dataset, main
-from fedcost.config import SCHEMA, ConfigError, needs_for_command, parse_config
+from fedcost.cli import build_dataset, main, needs_for_command
+from fedcost.config import SCHEMA, ConfigError, parse_config
 from fedcost.datagen import gen_synthetic
 from fedcost.learner import TrainConfig
 from fedcost.optimizer import EstimationPlan
-from fedcost.system import sample_profile
+from fedcost.system import averaged_costs, sample_profile
 
 
 BASE = """
@@ -78,6 +78,16 @@ def test_missing_keys_reported_per_command(tmp_path):
     assert any("mode" in p for p in problems)
     problems = needs_for_command(cfg, "compare-schedulers")
     assert any("sweep.variable" in p for p in problems)
+    # gamma is needed exactly where a cost is priced, and then reported first
+    no_gamma = {**cfg, "gamma": None, "rho": 100.0}
+    for command in ("optimize", "estimate", "validate-properties", "cost-surface"):
+        assert needs_for_command(no_gamma, command)[0] == "missing required key: gamma"
+    assert needs_for_command({**no_gamma, "mode": "grid"}, "run")[0] == (
+        "missing required key: gamma"
+    )
+    for command, mode in (("compare-schedulers", None), ("run", "fixed")):
+        problems = needs_for_command({**no_gamma, "mode": mode}, command)
+        assert "missing required key: gamma" not in problems
 
 
 def test_run_fixed_mode_reaches_target(tmp_path):
@@ -427,19 +437,64 @@ def test_cost_model_commands_need_no_idx_paths(tmp_path):
         "cost-surface"])
 def test_dataset_is_built_exactly_when_an_idx_config_must_name_its_files(
         tmp_path, monkeypatch, command, body):
-    builds = []
+    # and the averaged costs exactly when a gamma-less config must name gamma
+    builds, prices = [], []
 
     def recording_build(config):
         builds.append(command)
         return build_dataset(config)
 
+    def recording_costs(profile, gamma):
+        prices.append(command)
+        return averaged_costs(profile, gamma)
+
     monkeypatch.setattr("fedcost.cli.build_dataset", recording_build)
+    monkeypatch.setattr("fedcost.system.averaged_costs", recording_costs)
     body = BASE.format(gamma=0.5) + body
     cfg = write_config(tmp_path, body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     twin = parse_config(write_config(tmp_path, body.replace("= synthetic", "= idx"), "idx.cfg"))
     asks = "missing required key: dataset.images" in needs_for_command(twin, command)
     assert len(builds) == int(asks)
+    asks = "missing required key: gamma" in needs_for_command({**twin, "gamma": None}, command)
+    assert len(prices) == int(asks)
+
+
+@pytest.mark.parametrize("command, body, artifact", [
+    ("compare-schedulers", SWEEP_K, "schedulers.csv"),
+    ("run", FIXED, "traces.csv"),
+], ids=["compare-schedulers", "run-fixed"])
+def test_commands_that_price_nothing_need_no_gamma(tmp_path, command, body, artifact):
+    with_gamma = BASE.format(gamma=0.5) + body
+    without = with_gamma.replace("gamma = 0.5\n", "")
+    assert "gamma" not in without
+    outs = {}
+    for name, text in (("with", with_gamma), ("without", without)):
+        outs[name] = str(tmp_path / name)
+        cfg = write_config(tmp_path, text, f"{name}.cfg")
+        assert main([command, "--config", cfg, "--out", outs[name]]) == 0
+    assert sha256(outs["without"], artifact) == sha256(outs["with"], artifact)
+
+
+@pytest.mark.parametrize("command, body", [
+    ("run", FIXED),
+    ("validate-properties", "rho = 500\n"),
+], ids=["run-fixed", "validate-properties"])
+def test_out_under_a_regular_file_is_one_error_line(
+        tmp_path, capsys, monkeypatch, command, body):
+    # the output directory is created with the first artifact, so the
+    # command runs and then fails there, creating nothing; the error names
+    # the path as given
+    monkeypatch.chdir(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep me\n")
+    cfg = write_config(tmp_path, BASE.format(gamma=0.5) + body)
+    before = sorted(os.listdir(tmp_path))
+    assert main([command, "--config", cfg, "--out", os.path.join("blocker", "out")]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert err == ["error: [Errno 20] Not a directory: 'blocker/out'"]
+    assert sorted(os.listdir(tmp_path)) == before
+    assert blocker.read_text() == "keep me\n"
 
 
 @pytest.mark.parametrize("command", ["optimize", "run"])
