@@ -111,7 +111,7 @@ def _solve(config, dataset, profile, rho, grid=False):
             pilot_train,
         )
         rho, records = estimate.rho, estimate.records
-    coeffs = ConvergenceCoeffs(rho=rho, n_clients=costs.n_clients)
+    coeffs = ConvergenceCoeffs(rho=rho)
     if grid:
         solution = optimizer.grid_search(costs, coeffs, *_grid_ranges(config, costs.n_clients))
     else:
@@ -204,7 +204,7 @@ def cmd_compare_schedulers(config):
 
 def cmd_validate_properties(config):
     costs = system.averaged_costs(build_profile(config), config["gamma"])
-    coeffs = ConvergenceCoeffs(rho=config["rho"], n_clients=costs.n_clients)
+    coeffs = ConvergenceCoeffs(rho=config["rho"])
     findings = optimizer.verify_properties(costs, coeffs)
     optimizer.write_properties_csv(findings, os.path.join(config["out"], "properties.csv"))
     failed = [f.name for f in findings if not f.passed]
@@ -217,7 +217,7 @@ def cmd_validate_properties(config):
 
 def cmd_cost_surface(config):
     costs = system.averaged_costs(build_profile(config), config["gamma"])
-    coeffs = ConvergenceCoeffs(rho=config["rho"], n_clients=costs.n_clients)
+    coeffs = ConvergenceCoeffs(rho=config["rho"])
     k_range, e_range = _grid_ranges(config, costs.n_clients)
     costmodel.dump_cost_surface(
         os.path.join(config["out"], "cost_surface.csv"), costs, coeffs, k_range, e_range
@@ -324,7 +324,7 @@ def main(argv=None):
         if problems:
             raise ConfigError(problems)
         return _COMMANDS[args.command](config)
-    except (ConfigError, ValueError, RuntimeError, OSError) as exc:
+    except (ConfigError, ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,17 +26,15 @@ class ConvergenceCoeffs:
 
     rho is the ratio of the convergence budget's constant term to the E^2
     term (the only statistic the optimizer needs); the target precision is
-    folded into rho, so the budget is driven down to 1.
+    folded into rho, so the budget is driven down to 1.  The fleet size N
+    in the sampling penalty comes from the averaged costs.
     """
 
     rho: float
-    n_clients: int
 
     def __post_init__(self):
         if not np.isfinite(self.rho) or self.rho <= 0:
             raise ValueError("rho must be finite and > 0")
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -49,11 +47,6 @@ class CostReport:
     rounds: float
 
 
-def _scalar(out):
-    """Unwrap a 0-d result so scalar inputs give scalar outputs."""
-    return out[()] if out.ndim == 0 else out
-
-
 def sampling_penalty(k, n_clients):
     """phi(K) = 1 + (N - K) / (K (N - 1)): the E^2 multiplier in the
     convergence budget.  Equals 1 at full participation, 2 at K = 1."""
@@ -61,22 +54,22 @@ def sampling_penalty(k, n_clients):
     if np.any(k <= 0):
         raise ValueError("k must be > 0")
     if n_clients == 1:
-        return _scalar(np.ones_like(k))
-    return _scalar(1.0 + (n_clients - k) / (k * (n_clients - 1)))
+        return np.ones_like(k)[()]
+    return 1.0 + (n_clients - k) / (k * (n_clients - 1))
 
 
 def expected_energy(k, e, r, costs):
     """Exact expected total energy K (e_p E + e_m) R."""
     k = np.asarray(k, dtype=float)
     e = np.asarray(e, dtype=float)
-    return _scalar(k * (costs.e_p * e + costs.e_m) * r)
+    return k * (costs.e_p * e + costs.e_m) * r
 
 
 def expected_time_approx(k, e, r, costs):
     """Tractable expected total time (t_p E + t_m K) R."""
     k = np.asarray(k, dtype=float)
     e = np.asarray(e, dtype=float)
-    return _scalar((costs.t_p * e + costs.t_m * k) * r)
+    return (costs.t_p * e + costs.t_m * k) * r
 
 
 def expected_time_exact(k, e, r, profile):
@@ -101,24 +94,22 @@ def expected_time_exact(k, e, r, profile):
     return (first_term * e + t_m * k) * r
 
 
-def _budget_numerator(k, e, coeffs):
+def _budget_numerator(k, e, costs, coeffs):
     """rho + phi(K) E^2, the convergence budget scaled by E R."""
-    return coeffs.rho + sampling_penalty(k, coeffs.n_clients) * e**2
+    return coeffs.rho + sampling_penalty(k, costs.n_clients) * e**2
 
 
-def convergence_bound(k, e, r, coeffs):
+def convergence_bound(k, e, r, costs, coeffs):
     """Loss-precision budget after R rounds: (rho + phi(K) E^2) / (E R)."""
-    k = np.asarray(k, dtype=float)
     e = np.asarray(e, dtype=float)
-    return _scalar(_budget_numerator(k, e, coeffs) / (e * r))
+    return _budget_numerator(k, e, costs, coeffs) / (e * r)
 
 
-def rounds_needed(k, e, coeffs):
+def rounds_needed(k, e, costs, coeffs):
     """Rounds required to drive the convergence budget down to 1:
     (rho + phi(K) E^2) / E.  Continuous; callers ceil to simulate."""
-    k = np.asarray(k, dtype=float)
     e = np.asarray(e, dtype=float)
-    return _scalar(_budget_numerator(k, e, coeffs) / e)
+    return _budget_numerator(k, e, costs, coeffs) / e
 
 
 def p3_objective(k, e, costs, coeffs):
@@ -127,8 +118,6 @@ def p3_objective(k, e, costs, coeffs):
     cost_report's total_cost.  K and E may be relaxed (continuous,
     broadcastable); only positivity is enforced, so finite differences may
     probe just outside [1, N]."""
-    if coeffs.n_clients != costs.n_clients:
-        raise ValueError("costs and coeffs disagree on the number of clients")
     if np.any(np.asarray(k) <= 0) or np.any(np.asarray(e) <= 0):
         raise ValueError("k and e must be > 0")
     return cost_report(k, e, costs, coeffs).total_cost
@@ -139,7 +128,7 @@ def cost_report(k, e, costs, coeffs):
     at the round count that meets the precision target; the one place the
     blended cost is computed.  K and E broadcast: scalar inputs give scalar
     fields, arrays give arrays."""
-    r = rounds_needed(k, e, coeffs)
+    r = rounds_needed(k, e, costs, coeffs)
     t = expected_time_approx(k, e, r, costs)
     en = expected_energy(k, e, r, costs)
     return CostReport(t, en, costs.gamma * en + (1.0 - costs.gamma) * t, r)

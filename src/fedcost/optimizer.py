@@ -176,7 +176,7 @@ def grid_search(costs, coeffs, k_values, e_values):
     # argmin takes the first minimum in row-major order: smallest K, then E
     i, j = divmod(int(np.argmin(obj)), e_values.size)
     k_star, e_star = int(k_values[i]), int(e_values[j])
-    r_star = max(1, int(math.ceil(rounds_needed(k_star, e_star, coeffs))))
+    r_star = max(1, int(math.ceil(rounds_needed(k_star, e_star, costs, coeffs))))
     return Solution(k_star, e_star, r_star, float(obj[i, j]))
 
 

@@ -148,7 +148,7 @@ def test_criterion_3_biconvexity():
             e_m=float(10 ** rng.uniform(-4, -1)),
             gamma=float(rng.uniform(0, 0.9)),  # strictness in K needs gamma < 1
         )
-        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)), n_clients=n)
+        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)))
         kk = np.linspace(1, n, 50)[:, None]
         ee = np.linspace(1, 100, 50)[None, :]
         hk = 1e-3 * kk
@@ -177,7 +177,7 @@ def test_criterion_4_acs_near_optimality():
             e_m=float(10 ** rng.uniform(-4, -1)),
             gamma=float(rng.uniform(0, 1)),
         )
-        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(2, 5)), n_clients=n)
+        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(2, 5)))
         sol = acs_optimize(costs, coeffs)
         grid = grid_search(costs, coeffs, range(1, n + 1), range(1, 101))
         assert sol.predicted_cost <= grid.predicted_cost * 1.01
@@ -265,7 +265,7 @@ def test_criterion_5_estimator_recovery(desk):
 @criterion("6 qualitative solution properties (price sweep, perturbations)")
 def test_criterion_6_property_suite():
     costs = AveragedCosts(100, 0.5, 0.2, 0.01, 0.02, 0.5)
-    coeffs = ConvergenceCoeffs(rho=1850.0, n_clients=100)
+    coeffs = ConvergenceCoeffs(rho=1850.0)
     findings = verify_properties(costs, coeffs)
     failed = [f.name for f in findings if not f.passed]
     assert not failed, failed
@@ -312,7 +312,7 @@ def test_criterion_7_end_to_end(desk):
     )
     records = run_pilots(plan, dataset, profile, TrainConfig(k=None, e=None, seed=13))
     rho = rho_from_pilots(records, dataset.n_clients)
-    coeffs = ConvergenceCoeffs(rho=rho, n_clients=dataset.n_clients)
+    coeffs = ConvergenceCoeffs(rho=rho)
 
     grid_runs = {}
     for k in (1, 3, 6, 10, 15, 20):

@@ -702,6 +702,22 @@ def test_overflowing_step_size_is_one_divergence_line(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_unallocatable_dataset_is_one_error_line(tmp_path, capsys):
+    # 3 x 1e15 rows of 60 features: numpy refuses the 1.25 EiB at once
+    body = (
+        BASE.format(gamma=0.5)
+        .replace("n_clients = 8", "n_clients = 3")
+        .replace("size_mean = 40", "size_mean = 1e15")
+        .replace("size_std = 10", "size_std = 0")
+        + FIXED.replace("control.k = 4", "control.k = 3")
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, body), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert not os.path.exists(out)
+
+
 def readme_config_defaults():
     """key -> default cell of README's config table."""
     path = os.path.join(os.path.dirname(__file__), "..", "README.md")

@@ -130,47 +130,83 @@ def test_sampling_penalty_boundaries():
 
 
 def test_convergence_bound_example():
-    coeffs = ConvergenceCoeffs(rho=100, n_clients=100)
-    assert convergence_bound(10, 10, 21, coeffs) == pytest.approx(0.9956709956709956)
+    costs, coeffs = costs_with(0.5, n=100), ConvergenceCoeffs(rho=100)
+    assert convergence_bound(10, 10, 21, costs, coeffs) == pytest.approx(0.9956709956709956)
 
 
 def test_convergence_bound_monotone_in_r_and_k():
-    coeffs = ConvergenceCoeffs(rho=500, n_clients=50)
-    assert convergence_bound(5, 10, 20, coeffs) > convergence_bound(5, 10, 40, coeffs)
-    assert convergence_bound(5, 10, 20, coeffs) > convergence_bound(25, 10, 20, coeffs)
+    costs, coeffs = costs_with(0.5, n=50), ConvergenceCoeffs(rho=500)
+
+    def bound(k, r):
+        return convergence_bound(k, 10, r, costs, coeffs)
+
+    assert bound(5, 20) > bound(5, 40)
+    assert bound(5, 20) > bound(25, 20)
 
 
 def test_rounds_needed_example():
-    coeffs = ConvergenceCoeffs(rho=100, n_clients=100)
-    assert rounds_needed(10, 10, coeffs) == pytest.approx(20.909090909090907)
+    costs, coeffs = costs_with(0.5, n=100), ConvergenceCoeffs(rho=100)
+    assert rounds_needed(10, 10, costs, coeffs) == pytest.approx(20.909090909090907)
 
 
 def test_rounds_needed_minimized_at_sqrt_rho_over_phi():
-    coeffs = ConvergenceCoeffs(rho=400, n_clients=60)
+    costs, coeffs = costs_with(0.5, n=60), ConvergenceCoeffs(rho=400)
     for k in (1, 10, 60):
         phi = sampling_penalty(k, 60)
         e_star = math.sqrt(coeffs.rho / phi)
         grid = np.linspace(max(1e-3, e_star / 10), e_star * 10, 20001)
-        vals = rounds_needed(k, grid, coeffs)
+        vals = rounds_needed(k, grid, costs, coeffs)
         assert grid[np.argmin(vals)] == pytest.approx(e_star, rel=1e-3)
 
 
 def test_bound_inverts_rounds_needed():
-    coeffs = ConvergenceCoeffs(rho=1850, n_clients=100)
+    costs, coeffs = costs_with(0.5, n=100), ConvergenceCoeffs(rho=1850)
     for k, e in ((1, 5), (10, 20), (100, 3)):
-        r = rounds_needed(k, e, coeffs)
-        assert convergence_bound(k, e, r, coeffs) == pytest.approx(1.0, rel=1e-12)
+        r = rounds_needed(k, e, costs, coeffs)
+        assert convergence_bound(k, e, r, costs, coeffs) == pytest.approx(1.0, rel=1e-12)
+
+
+_COEFFS = ConvergenceCoeffs(rho=50)
+# each case: (function of K, E and the costs, whether E enters its result)
+_BROADCASTING = {
+    "sampling_penalty_n1": (lambda k, e, c: sampling_penalty(k, 1), False),
+    "sampling_penalty": (lambda k, e, c: sampling_penalty(k, c.n_clients), False),
+    "expected_energy": (lambda k, e, c: expected_energy(k, e, 3, c), True),
+    "expected_time_approx": (lambda k, e, c: expected_time_approx(k, e, 3, c), True),
+    "rounds_needed": (lambda k, e, c: rounds_needed(k, e, c, _COEFFS), True),
+    "convergence_bound": (lambda k, e, c: convergence_bound(k, e, 3, c, _COEFFS), True),
+    "p3_objective": (lambda k, e, c: p3_objective(k, e, c, _COEFFS), True),
+    **{
+        f"cost_report.{f.name}": (
+            lambda k, e, c, name=f.name: getattr(cost_report(k, e, c, _COEFFS), name), True
+        )
+        for f in fields(CostReport)
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_BROADCASTING))
+def test_scalar_inputs_give_scalars_and_arrays_broadcast(case):
+    f, uses_e = _BROADCASTING[case]
+    costs = costs_with(0.5, n=10)
+    for k, e in ((2, 3), (2.5, 3.0), (np.float64(4), np.int64(7))):
+        out = f(k, e, costs)
+        assert np.ndim(out) == 0 and not isinstance(out, np.ndarray), type(out)
+    k, e = np.array([[1.0], [4.0]]), np.array([1, 2, 5])
+    out = f(k, e, costs)
+    assert isinstance(out, np.ndarray)
+    assert out.shape == ((2, 3) if uses_e else (2, 1))
 
 
 def test_p3_objective_example():
     costs = costs_with(0.0)
-    coeffs = ConvergenceCoeffs(rho=1850, n_clients=100)
+    coeffs = ConvergenceCoeffs(rho=1850)
     assert p3_objective(10, 20, costs, coeffs) == pytest.approx(1371.818181818182)
 
 
 def test_p3_pure_energy_increases_in_k():
     costs = costs_with(1.0)
-    coeffs = ConvergenceCoeffs(rho=1850, n_clients=100)
+    coeffs = ConvergenceCoeffs(rho=1850)
     vals = p3_objective(np.arange(1, 101, dtype=float), 20.0, costs, coeffs)
     assert np.all(np.diff(vals) > 0)
 
@@ -179,24 +215,19 @@ def test_p3_equals_blended_cost_at_required_rounds():
     rng = np.random.default_rng(21)
     for _ in range(25):
         costs = random_costs(rng)
-        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)), n_clients=costs.n_clients)
+        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)))
         k = float(rng.uniform(1, costs.n_clients))
         e = float(rng.uniform(1, 80))
-        r = rounds_needed(k, e, coeffs)
+        r = rounds_needed(k, e, costs, coeffs)
         blended = costs.gamma * expected_energy(k, e, r, costs) + (
             1 - costs.gamma
         ) * expected_time_approx(k, e, r, costs)
         assert p3_objective(k, e, costs, coeffs) == blended
 
 
-def test_p3_rejects_mismatched_client_counts():
-    with pytest.raises(ValueError):
-        p3_objective(2, 2, costs_with(0.5, n=10), ConvergenceCoeffs(rho=10, n_clients=20))
-
-
 def test_p3_rejects_non_positive_controls():
     costs = costs_with(0.5)
-    coeffs = ConvergenceCoeffs(rho=10, n_clients=100)
+    coeffs = ConvergenceCoeffs(rho=10)
     with pytest.raises(ValueError):
         p3_objective(0, 5, costs, coeffs)
     with pytest.raises(ValueError):
@@ -212,7 +243,7 @@ def test_objective_is_biconvex_by_finite_differences():
     for _ in range(10):
         costs = random_costs(rng, gamma=float(rng.uniform(0, 0.9)))
         n = costs.n_clients
-        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)), n_clients=n)
+        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)))
         for k in np.linspace(1, n, 9):
             for e in np.linspace(1, 100, 9):
                 d2k = second_difference(
@@ -226,7 +257,7 @@ def test_objective_is_biconvex_by_finite_differences():
 
 
 def test_cost_report_consistency(sim_costs):
-    coeffs = ConvergenceCoeffs(rho=1850, n_clients=100)
+    coeffs = ConvergenceCoeffs(rho=1850)
     rep = cost_report(10, 20, sim_costs, coeffs)
     assert rep.total_cost == (
         sim_costs.gamma * rep.expected_energy + (1 - sim_costs.gamma) * rep.expected_time
@@ -253,7 +284,7 @@ _PRICE = st.floats(1e-4, 1.0)
 def test_one_call_per_row_equals_the_cells_bit_for_bit(costs, rho, k_share, e_row):
     # cost_report is the one blended-cost formula: a row call (as the cost
     # surface makes) and p3_objective (grid search, ACS) give each cell's bits
-    coeffs = ConvergenceCoeffs(rho=rho, n_clients=costs.n_clients)
+    coeffs = ConvergenceCoeffs(rho=rho)
     k = 1.0 + k_share * (costs.n_clients - 1)
     row = cost_report(k, np.array(e_row, dtype=float), costs, coeffs)
     for j, e in enumerate(e_row):
@@ -265,7 +296,7 @@ def test_one_call_per_row_equals_the_cells_bit_for_bit(costs, rho, k_share, e_ro
 
 
 def test_cost_surface_dump(tmp_path, sim_costs):
-    coeffs = ConvergenceCoeffs(rho=1850, n_clients=100)
+    coeffs = ConvergenceCoeffs(rho=1850)
     path = tmp_path / "surface.csv"
     dump_cost_surface(str(path), sim_costs, coeffs, range(1, 4), range(1, 6))
     lines = path.read_text().splitlines()

@@ -48,7 +48,7 @@ def sim_costs_with(gamma):
     return AveragedCosts(100, 0.5, 0.2, 0.01, 0.02, gamma)
 
 
-SIM_COEFFS = ConvergenceCoeffs(rho=1850.0, n_clients=100)
+SIM_COEFFS = ConvergenceCoeffs(rho=1850.0)
 # the training settings the pilots run with; each pilot sets its own k and e
 PILOT_TRAIN = TrainConfig(k=None, e=None, seed=13)
 
@@ -68,7 +68,7 @@ def test_k_solve_matches_golden_section_oracle():
     rng = np.random.default_rng(31)
     for _ in range(20):
         costs = random_costs(rng, gamma=float(rng.uniform(0, 0.98)))
-        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)), n_clients=costs.n_clients)
+        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)))
         e = float(rng.uniform(1, 60))
         k_closed = solve_k_given_e(e, costs, coeffs)
         k_oracle = golden_section(
@@ -87,7 +87,7 @@ def test_e_solve_matches_golden_section_oracle():
     rng = np.random.default_rng(32)
     for _ in range(20):
         costs = random_costs(rng)
-        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)), n_clients=costs.n_clients)
+        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)))
         k = float(rng.uniform(1, costs.n_clients))
         e_root = solve_e_given_k(k, costs, coeffs)
         e_oracle = golden_section(lambda e: p3_objective(k, e, costs, coeffs), 1.0, 1e4)
@@ -107,7 +107,7 @@ def test_e_solve_depends_only_on_energy_ratio_at_gamma_one():
 def test_e_solve_respects_ceiling():
     # this rho puts the E minimizer past the 1e6 search ceiling
     with pytest.raises(ValueError, match="e_max"):
-        solve_e_given_k(1, sim_costs_with(1.0), ConvergenceCoeffs(rho=1e25, n_clients=100))
+        solve_e_given_k(1, sim_costs_with(1.0), ConvergenceCoeffs(rho=1e25))
 
 
 def test_acs_pure_energy_returns_one_for_any_start():
@@ -125,7 +125,7 @@ def test_acs_objective_descends_along_trajectory():
     rng = np.random.default_rng(33)
     for _ in range(20):
         costs = random_costs(rng)
-        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)), n_clients=costs.n_clients)
+        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)))
         sol = acs_optimize(costs, coeffs)
         vals = [p3_objective(k, e, costs, coeffs) for k, e in sol.trajectory]
         assert all(b <= a + 1e-9 * max(1, abs(a)) for a, b in zip(vals, vals[1:]))
@@ -136,7 +136,7 @@ def test_acs_rounding_picks_best_integer_candidate():
     rng = np.random.default_rng(34)
     for _ in range(10):
         costs = random_costs(rng)
-        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)), n_clients=costs.n_clients)
+        coeffs = ConvergenceCoeffs(rho=float(10 ** rng.uniform(1, 4)))
         sol = acs_optimize(costs, coeffs)
         k_cont, e_cont = sol.trajectory[-1]
         candidates = {
