@@ -9,6 +9,7 @@ byte-identical files; all reported times are simulated, never host wall-clock.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -178,13 +179,16 @@ def cmd_compare_schedulers(config):
     variable = config["sweep.variable"]
     values = config["sweep.values"]
 
+    if variable == "e":
+        points = [(config["sweep.k"], value) for value in values]
+    else:
+        points = [(value, config["sweep.e"]) for value in values]
+
+    def traces_at(i):  # a sweep point's training, in a worker (see map_runs)
+        return run_fedavg(dataset, profile, build_train_config(config, *points[i]))[1]
+
     rows = []
-    for value in values:
-        if variable == "e":
-            k, e = config["sweep.k"], value
-        else:
-            k, e = value, config["sweep.e"]
-        _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
+    for value, traces in zip(values, learner.map_runs(traces_at, [k * e for k, e in points])):
         reached = traces[-1].loss <= target
         for strategy in Strategy:
             # left to right in round order: from Python 3.12 the builtin
@@ -240,8 +244,9 @@ def needs_for_command(config, command):
     """Per-command requirement check on the resolved config, where an absent
     key reads None; returns a list of problems.  Every K the command would
     train at must lie within dataset.n_clients, an idx dataset must name its
-    files exactly when the command trains, and gamma is needed exactly when
-    the command prices a cost: the others need only N."""
+    files exactly when the command trains, a synthetic one it trains on must
+    have a size_std / size_mean whose square is finite, and gamma is needed
+    exactly when the command prices a cost: the others need only N."""
     problems = []
     has_rho = config["rho"] is not None
     has_plan = all(
@@ -263,8 +268,15 @@ def needs_for_command(config, command):
     if prices:
         need("gamma")
     need("dataset.kind", "dataset.n_clients")
-    if config["dataset.kind"] == "idx" and (pilots or command in ("run", "compare-schedulers")):
+    trains = pilots or command in ("run", "compare-schedulers")
+    if config["dataset.kind"] == "idx" and trains:
         need("dataset.images", "dataset.labels", "dataset.samples_per_client")
+    if config["dataset.kind"] == "synthetic" and trains:
+        cv = config["dataset.size_std"] / config["dataset.size_mean"]
+        if not math.isfinite(cv * cv):  # gen_synthetic's log-normal sigma^2 is log1p(cv^2)
+            problems.append(
+                f"dataset.size_std / dataset.size_mean = {cv:g}: its square must be finite"
+            )
 
     if command == "run":
         need("mode")

@@ -94,7 +94,10 @@ SCHEMA = {
     "system.t_m_mean": (_positive, 0.2),
     "system.e_m_mean": (_positive, 0.02),
     "system.jitter": (_non_negative, 0.1),
-    "system.comm_spread": (_non_negative, 0.2),
+    "system.comm_spread": (
+        _checked(_non_negative, lambda v: math.isfinite(v * v), "its square must be finite"),
+        0.2,
+    ),
     "train.batch_size": (_count, 64),
     "train.eta0": (_non_negative, 0.1),
     "train.max_rounds": (_count, 300),

@@ -9,6 +9,7 @@ is exactly the standard construction; at (0, 0) every client shares one
 labeling model, so the data are i.i.d. up to input noise.
 """
 
+import math
 import os
 import stat
 import struct
@@ -98,11 +99,18 @@ class FederatedDataset:
 def _shard_sizes(rng, n_clients, size_mean, size_std):
     """Power-law (log-normal) shard sizes, moment-matched, clamped at 1."""
     if size_std == 0:
-        return np.maximum(1, np.rint(np.full(n_clients, size_mean)).astype(int))
-    sigma2 = np.log1p((size_std / size_mean) ** 2)
-    mu = np.log(size_mean) - 0.5 * sigma2
-    draws = rng.lognormal(mean=mu, sigma=np.sqrt(sigma2), size=n_clients)
-    return np.maximum(1, np.rint(draws).astype(int))
+        draws = np.full(n_clients, size_mean)
+    else:
+        sigma2 = np.log1p((size_std / size_mean) ** 2)
+        mu = np.log(size_mean) - 0.5 * sigma2
+        draws = rng.lognormal(mean=mu, sigma=np.sqrt(sigma2), size=n_clients)
+    rows = np.rint(draws)
+    if not np.all(rows < 2.0**63):  # a larger size, or nan, has no int64
+        raise ValueError(
+            f"size_mean = {size_mean:g} with size_std = {size_std:g} draws a shard "
+            f"of {np.max(rows):g} rows"
+        )
+    return np.maximum(1, rows.astype(int))
 
 
 def gen_synthetic(alpha, beta, n_clients, size_mean, size_std, seed, n_features=60, n_classes=10):
@@ -122,6 +130,9 @@ def gen_synthetic(alpha, beta, n_clients, size_mean, size_std, seed, n_features=
         raise ValueError("n_clients must be >= 1")
     if size_mean <= 0 or size_std < 0:
         raise ValueError("size_mean must be > 0 and size_std >= 0")
+    cv = float(size_std) / float(size_mean)
+    if not math.isfinite(cv * cv):  # the log-normal's sigma^2 is log1p(cv^2)
+        raise ValueError(f"size_std / size_mean = {cv:g}: its square must be finite")
     if n_features < 1 or n_classes < 2:
         raise ValueError("need n_features >= 1 and n_classes >= 2")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .costmodel import p3_objective, rounds_needed, sampling_penalty
 from .csvio import write_csv
-from .learner import run_fedavg
+from .learner import map_runs, run_fedavg
 from .seeding import PILOT, sub_seed
 
 
@@ -180,9 +180,9 @@ def grid_search(costs, coeffs, k_values, e_values):
     return Solution(k_star, e_star, r_star, float(obj[i, j]))
 
 
-def _rounds_to_loss(traces, level):
-    for r, t in enumerate(traces):
-        if t.loss <= level:
+def _rounds_to_loss(losses, level):
+    for r, loss in enumerate(losses):
+        if loss <= level:
             return r + 1
     return None
 
@@ -193,9 +193,12 @@ def run_pilots(plan, dataset, profile, train):
 
     Each pilot trains with the settings of `train`, the TrainConfig of the
     run being sized, at its own (K, E), with the plan's round cap and lower
-    loss level as target and a seed keyed on train.seed and its position."""
-    records = []
-    for i, (k, e) in enumerate(plan.pairs):
+    loss level as target and a seed keyed on train.seed and its position.
+    The pilots run in parallel (see map_runs), each returning its loss
+    curve; the first to fail, in plan order, raises."""
+
+    def losses(i):
+        k, e = plan.pairs[i]
         config = replace(
             train,
             k=k,
@@ -205,8 +208,13 @@ def run_pilots(plan, dataset, profile, train):
             seed=sub_seed(train.seed, PILOT, i),
         )
         _, traces = run_fedavg(dataset, profile, config)
-        r_a = _rounds_to_loss(traces, plan.loss_a)
-        r_b = _rounds_to_loss(traces, plan.loss_b)
+        return [t.loss for t in traces]
+
+    records = []
+    curves = map_runs(losses, [k * e for k, e in plan.pairs])
+    for (k, e), curve in zip(plan.pairs, curves):
+        r_a = _rounds_to_loss(curve, plan.loss_a)
+        r_b = _rounds_to_loss(curve, plan.loss_b)
         if r_b is None:
             raise PilotTimeoutError(
                 f"pilot (K={k}, E={e}) did not reach loss {plan.loss_b} "

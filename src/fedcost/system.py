@@ -8,6 +8,7 @@ client's mean with a single relative-jitter knob.
 """
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -145,6 +146,9 @@ def sample_profile(
             raise ValueError(f"{name} must be finite and > 0")
     if t_p_std < 0 or jitter < 0 or comm_spread < 0:
         raise ValueError("spread parameters must be >= 0")
+    spread = float(comm_spread)
+    if not math.isfinite(spread * spread):  # the log-normal's sigma^2 is log1p(spread^2)
+        raise ValueError(f"comm_spread = {spread:g}: its square must be finite")
 
     rng = stream(seed)
     t_comp = _positive_normal(rng, t_p_mean, t_p_std, n_clients)

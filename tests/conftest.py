@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -42,6 +43,12 @@ def random_costs(rng, n=None, gamma=None):
         e_m=float(10 ** rng.uniform(-4, -1)),
         gamma=float(rng.uniform(0, 1)) if gamma is None else gamma,
     )
+
+
+def usable_cpus(monkeypatch, n):
+    """Make os.sched_getaffinity report n usable CPUs, the count that sets
+    how many workers learner.map_runs forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def write_idx(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import multiprocessing
 import os
 import tracemalloc
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import write_idx, write_oversized_idx
+from conftest import usable_cpus, write_idx, write_oversized_idx
+from fedcost import cli
 from fedcost.cli import build_dataset, main, needs_for_command
 from fedcost.config import SCHEMA, ConfigError, parse_config
 from fedcost.datagen import gen_synthetic
@@ -702,6 +704,30 @@ def test_overflowing_step_size_is_one_divergence_line(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("old, new, named", [
+    ("size_std = 10", "size_std = 10\nsystem.comm_spread = 1e308",
+     "line 8: bad value for system.comm_spread: its square must be finite"),
+    ("size_std = 10", "size_std = 1e308",
+     "dataset.size_std / dataset.size_mean = 2.5e+306: its square must be finite"),
+    ("size_mean = 40", "size_mean = 1e-308",
+     "dataset.size_std / dataset.size_mean = inf: its square must be finite"),
+    ("size_mean = 40", "size_mean = 1e308",
+     "size_mean = 1e+308 with size_std = 10 draws a shard of 1e+308 rows"),
+], ids=["comm_spread-1e308", "size_std-1e308", "size_mean-1e-308", "size_mean-1e308"])
+def test_overflowing_spreads_and_sizes_are_one_error_line(tmp_path, capsys, old, new, named):
+    # each once ended in an OverflowError traceback, or trained on shard sizes
+    # cast from nan or from past the int64 range after a RuntimeWarning
+    body = BASE.format(gamma=0.5).replace("n_clients = 8", "n_clients = 4").replace(old, new)
+    body += SWEEP_K.replace("1 2 4 8", "1 2 4")
+    out = tmp_path / "out"
+    assert main(["compare-schedulers", "--config", write_config(tmp_path, body),
+                 "--out", str(out)]) == 1
+    first, *rest = capsys.readouterr().err.splitlines()
+    assert first.startswith("error: ") and all(line.startswith("  - ") for line in rest)
+    assert named in "\n".join([first] + rest)
+    assert not os.path.exists(out)
+
+
 def test_unallocatable_dataset_is_one_error_line(tmp_path, capsys):
     # 3 x 1e15 rows of 60 features: numpy refuses the 1.25 EiB at once
     body = (
@@ -909,3 +935,58 @@ def test_out_of_range_values_are_reported_by_key(tmp_path, capsys, monkeypatch, 
     ]
     assert f"  - {problem}" in err.splitlines()
     assert builds == [] and not os.path.exists(out)
+
+
+# two of the three pilots, (2, 5) and (4, 10), miss loss 1.1 within 3 rounds
+TIMED_OUT_PLAN = PLAN.replace("round_cap = 300", "round_cap = 3").replace("b = 1.2", "b = 1.1")
+
+
+def run_at_cpus(tmp_path, capsys, monkeypatch, argv, cpus):
+    """Exit code, stdout, stderr and artifact digests of one command run with
+    `cpus` usable CPUs; no worker may outlive it."""
+    usable_cpus(monkeypatch, cpus)
+    out = tmp_path / f"out-{cpus}"
+    code = main(argv + ["--out", str(out)])
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    files = sorted(out.iterdir()) if out.exists() else []
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+    return code, captured.out, captured.err, digests
+
+
+@pytest.mark.parametrize("command, body", [
+    ("run", "mode = optimize\n" + PLAN),
+    ("compare-schedulers", SWEEP_K),
+    ("estimate", TIMED_OUT_PLAN),
+], ids=["run-pilots", "compare-schedulers", "pilots-time-out"])
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, command, body):
+    argv = [command, "--config", write_config(tmp_path, BASE.format(gamma=0.5) + body)]
+    serial = run_at_cpus(tmp_path, capsys, monkeypatch, argv, 1)
+    assert run_at_cpus(tmp_path, capsys, monkeypatch, argv, 2) == serial
+    code, _, _, digests = serial
+    assert (code, bool(digests)) == ((1, False) if command == "estimate" else (0, True))
+
+
+def test_the_first_failing_pilot_in_plan_order_is_reported(tmp_path, capsys, monkeypatch):
+    # the heaviest pilot, (8, 20), is submitted first and succeeds
+    cfg = write_config(tmp_path, BASE.format(gamma=0.5) + TIMED_OUT_PLAN)
+    argv = ["estimate", "--config", cfg]
+    code, out, err, files = run_at_cpus(tmp_path, capsys, monkeypatch, argv, 2)
+    assert (code, out, files) == (1, "", {})
+    assert err == "error: pilot (K=2, E=5) did not reach loss 1.1 within 3 rounds\n"
+
+
+def test_a_worker_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch):
+    run_fedavg = cli.run_fedavg
+
+    def dies_at_k_4(dataset, profile, train):
+        if train.k == 4:
+            os._exit(1)
+        return run_fedavg(dataset, profile, train)
+
+    monkeypatch.setattr(cli, "run_fedavg", dies_at_k_4)
+    cfg = write_config(tmp_path, BASE.format(gamma=0.5) + SWEEP_K)
+    argv = ["compare-schedulers", "--config", cfg]
+    code, out, err, files = run_at_cpus(tmp_path, capsys, monkeypatch, argv, 2)
+    assert (code, out, files) == (1, "", {})
+    assert len(err.splitlines()) == 1 and err.startswith("error: A process in the process pool")

@@ -1,9 +1,16 @@
+import multiprocessing
+import os
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import usable_cpus
 from fedcost.datagen import FederatedDataset
 from fedcost.learner import (
     ModelParams,
@@ -14,6 +21,7 @@ from fedcost.learner import (
     export_traces,
     global_loss,
     local_sgd,
+    map_runs,
     mean_cross_entropy,
     run_fedavg,
 )
@@ -429,7 +437,81 @@ def test_round_engine_equals_per_client_local_sgd_on_random_shapes(
 
 
 @settings(max_examples=200, deadline=None)
-@given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=3, max_side=6),
-                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+@given(hnp.arrays(
+    float,
+    st.one_of(  # up to 600 or 8 x 80 rows, over and under _REDUCE_MAX_ROWS = 256
+        st.tuples(st.integers(1, 600), st.integers(1, 12)),
+        st.tuples(st.integers(1, 8), st.integers(1, 80), st.integers(1, 12)),
+    ),
+    elements=st.floats(allow_nan=True, allow_infinity=True),
+))
 def test_row_max_is_the_max_over_the_last_axis(a):
-    assert np.array_equal(_row_max(a), np.max(a, axis=-1, keepdims=True), equal_nan=True)
+    # bit for bit, on both sides of the row count that picks the method, but
+    # for a zero maximum's sign and a nan maximum's payload: numpy's reduce
+    # and its element-wise maximum settle -0.0 against 0.0, and nan against
+    # nan, differently
+    expected = np.max(a, axis=-1, keepdims=True)
+    got = _row_max(a)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected, equal_nan=True)
+    exact = ~np.isnan(expected) & (expected != 0)
+    assert got[exact].tobytes() == expected[exact].tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_map_runs_returns_results_in_input_order(monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    results = map_runs(lambda i: (i * i, os.getpid()), [1, 4, 2, 3])
+    assert [r for r, _ in results] == [0, 1, 4, 9]
+    workers = {pid for _, pid in results}
+    # one usable CPU runs here; more fork a worker each, up to the run count
+    assert workers == {os.getpid()} if cpus == 1 else os.getpid() not in workers
+    assert multiprocessing.active_children() == []
+
+
+def test_map_runs_submits_the_heaviest_first(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+    monkeypatch.setattr(
+        ProcessPoolExecutor, "submit",
+        lambda pool, fn, i: submitted.append(i) or submit(pool, fn, i),
+    )
+    assert map_runs(lambda i: i, [1, 5, 5, 9]) == [0, 1, 2, 3]
+    assert submitted == [3, 1, 2, 0]  # ties keep input order
+
+
+def test_map_runs_raises_the_first_failure_in_input_order(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+
+    def run(i):
+        if i == 1:
+            time.sleep(0.2)  # run 2, submitted first, fails first
+        if i in (1, 2):
+            raise ValueError(f"run {i} failed")
+        return i
+
+    with pytest.raises(ValueError, match="^run 1 failed$"):
+        map_runs(run, [1, 2, 3])
+    assert multiprocessing.active_children() == []
+
+
+def test_map_runs_raises_when_a_worker_dies(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    with pytest.raises(BrokenProcessPool):
+        map_runs(lambda i: os._exit(1) if i == 1 else i, [1, 1, 1])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("missing", ["affinity", "fork"])
+def test_map_runs_runs_serially_without_affinity_or_fork(monkeypatch, missing):
+    if missing == "affinity":
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        usable_cpus(monkeypatch, 2)
+
+        def get_context(method):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    assert map_runs(lambda i: (i, os.getpid()), [1, 2]) == [(0, os.getpid()), (1, os.getpid())]
