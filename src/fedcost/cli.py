@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import costmodel, datagen, learner, optimizer, system
 from .config import ConfigError, parse_config
 from .costmodel import ConvergenceCoeffs
@@ -184,11 +186,9 @@ def cmd_compare_schedulers(config):
     else:
         points = [(value, config["sweep.e"]) for value in values]
 
-    def traces_at(i):  # a sweep point's training, in a worker (see map_runs)
-        return run_fedavg(dataset, profile, build_train_config(config, *points[i]))[1]
-
+    configs = [build_train_config(config, k, e) for k, e in points]
     rows = []
-    for value, traces in zip(values, learner.map_runs(traces_at, [k * e for k, e in points])):
+    for value, traces in zip(values, learner.train_all(dataset, profile, configs)):
         reached = traces[-1].loss <= target
         for strategy in Strategy:
             # left to right in round order: from Python 3.12 the builtin
@@ -335,8 +335,10 @@ def main(argv=None):
         problems = needs_for_command(config, args.command)
         if problems:
             raise ConfigError(problems)
-        return _COMMANDS[args.command](config)
-    except (ConfigError, ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # a numeric fault ends the command; underflow, routine in softmax exp, does not
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](config)
+    except (ValueError, RuntimeError, OSError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,6 +26,11 @@ def write_csv(path, header, rows):
     """
     header = list(header)
     directory = os.path.dirname(path) or os.curdir  # an error names it as given
+    created = []  # the directories this call makes, deepest first
+    parent = directory
+    while parent and not os.path.exists(parent):
+        created.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -43,4 +48,7 @@ def write_csv(path, header, rows):
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        for made in created:
+            if not os.listdir(made):
+                os.rmdir(made)
         raise

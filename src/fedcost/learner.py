@@ -14,7 +14,7 @@ every strategy.
 Gradients are explicit (softmax minus one-hot), which keeps the model convex
 and finite-difference checkable.  All client randomness is pre-keyed on
 (seed, round, client), so traces are independent of execution order, and
-map_runs can fan independent runs out to forked worker processes.
+train_all can fan independent runs out to forked worker processes.
 """
 
 import math
@@ -371,25 +371,24 @@ def run_fedavg(dataset, profile, config):
     return model, traces
 
 
-# the fn of the running map_runs call, which its forked workers inherit
+# the (dataset, profile) of the running train_all call, inherited by its workers
 _tasks = []
 
 
-def _run_task(i):
-    return _tasks[-1](i)
+def _traces(config):
+    return run_fedavg(*_tasks[-1], config)[1]
 
 
-def map_runs(fn, weights):
-    """[fn(0), ..., fn(n - 1)] for n = len(weights) independent runs, each
-    call in a forked worker process, one per usable CPU and at most n.
+def train_all(dataset, profile, configs):
+    """The traces of run_fedavg(dataset, profile, c) for each TrainConfig c
+    in configs, in input order, each run in a forked worker process, one per
+    usable CPU and at most one per run.
 
-    Runs are submitted heaviest first (weights[i] is run i's expected work),
-    so the longest starts at once; results come back in input order, and
-    the first failure in input order is re-raised, as a loop would raise
-    it.  Workers inherit fn, so it need not pickle; its results and
-    exceptions must.  With one usable CPU, or without fork or a CPU
-    affinity, the runs go one after another in this process."""
-    n = len(weights)
+    Runs are submitted heaviest first (largest K E), so the longest starts
+    at once, and the first failure in input order is re-raised, as a loop
+    would raise it.  With one usable CPU, or without fork or a CPU affinity,
+    the runs go one after another in this process."""
+    n = len(configs)
     try:
         workers = min(n, len(os.sched_getaffinity(0)))
         import multiprocessing
@@ -398,14 +397,14 @@ def map_runs(fn, weights):
     except (AttributeError, ValueError):  # no sched_getaffinity, no fork
         workers = 1
     if workers < 2:
-        return [fn(i) for i in range(n)]
+        return [run_fedavg(dataset, profile, c)[1] for c in configs]
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, mp_context=context)  # forks on the first submit
-    _tasks.append(fn)
+    _tasks.append((dataset, profile))
     try:
-        heaviest_first = sorted(range(n), key=weights.__getitem__, reverse=True)
-        futures = {i: pool.submit(_run_task, i) for i in heaviest_first}
+        heaviest_first = sorted(range(n), key=lambda i: configs[i].k * configs[i].e, reverse=True)
+        futures = {i: pool.submit(_traces, configs[i]) for i in heaviest_first}
         return [futures[i].result() for i in range(n)]
     finally:
         pool.shutdown(cancel_futures=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .costmodel import p3_objective, rounds_needed, sampling_penalty
 from .csvio import write_csv
-from .learner import map_runs, run_fedavg
+from .learner import train_all
 from .seeding import PILOT, sub_seed
 
 
@@ -180,13 +180,6 @@ def grid_search(costs, coeffs, k_values, e_values):
     return Solution(k_star, e_star, r_star, float(obj[i, j]))
 
 
-def _rounds_to_loss(losses, level):
-    for r, loss in enumerate(losses):
-        if loss <= level:
-            return r + 1
-    return None
-
-
 def run_pilots(plan, dataset, profile, train):
     """Run each pilot pair until the lower loss level is crossed; record the
     round counts at which each level was first reached.
@@ -194,12 +187,10 @@ def run_pilots(plan, dataset, profile, train):
     Each pilot trains with the settings of `train`, the TrainConfig of the
     run being sized, at its own (K, E), with the plan's round cap and lower
     loss level as target and a seed keyed on train.seed and its position.
-    The pilots run in parallel (see map_runs), each returning its loss
-    curve; the first to fail, in plan order, raises."""
-
-    def losses(i):
-        k, e = plan.pairs[i]
-        config = replace(
+    The pilots run in parallel (see train_all); the first to fail, in plan
+    order, raises."""
+    configs = [
+        replace(
             train,
             k=k,
             e=e,
@@ -207,20 +198,18 @@ def run_pilots(plan, dataset, profile, train):
             target_loss=plan.loss_b,
             seed=sub_seed(train.seed, PILOT, i),
         )
-        _, traces = run_fedavg(dataset, profile, config)
-        return [t.loss for t in traces]
-
+        for i, (k, e) in enumerate(plan.pairs)
+    ]
     records = []
-    curves = map_runs(losses, [k * e for k, e in plan.pairs])
-    for (k, e), curve in zip(plan.pairs, curves):
-        r_a = _rounds_to_loss(curve, plan.loss_a)
-        r_b = _rounds_to_loss(curve, plan.loss_b)
-        if r_b is None:
+    for (k, e), traces in zip(plan.pairs, train_all(dataset, profile, configs)):
+        # a pilot stops in the round it first reaches loss_b, below loss_a
+        if traces[-1].loss > plan.loss_b:
             raise PilotTimeoutError(
                 f"pilot (K={k}, E={e}) did not reach loss {plan.loss_b} "
                 f"within {plan.round_cap} rounds"
             )
-        records.append(PilotRecord(k=k, e=e, rounds_to_a=r_a, rounds_to_b=r_b))
+        r_a = next(r for r, t in enumerate(traces, 1) if t.loss <= plan.loss_a)
+        records.append(PilotRecord(k=k, e=e, rounds_to_a=r_a, rounds_to_b=len(traces)))
     return records
 
 

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import struct
 
@@ -6,6 +7,12 @@ import pytest
 
 from fedcost.datagen import gen_synthetic
 from fedcost.system import AveragedCosts, sample_profile
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    yield
+    assert multiprocessing.active_children() == [], "a worker process outlived the test"
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +54,7 @@ def random_costs(rng, n=None, gamma=None):
 
 def usable_cpus(monkeypatch, n):
     """Make os.sched_getaffinity report n usable CPUs, the count that sets
-    how many workers learner.map_runs forks."""
+    how many workers learner.train_all forks."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 

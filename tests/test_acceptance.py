@@ -27,6 +27,7 @@ from fedcost.learner import (
     global_loss,
     mean_cross_entropy,
     run_fedavg,
+    train_all,
 )
 from fedcost.optimizer import (
     EstimationPlan,
@@ -314,10 +315,14 @@ def test_criterion_7_end_to_end(desk):
     rho = rho_from_pilots(records, dataset.n_clients)
     coeffs = ConvergenceCoeffs(rho=rho)
 
-    grid_runs = {}
-    for k in (1, 3, 6, 10, 15, 20):
-        for e in (1, 3, 8, 20, 45, 100):
-            grid_runs[(k, e)] = run_to_target(dataset, profile, k, e, target)
+    cells = [(k, e) for k in (1, 3, 6, 10, 15, 20) for e in (1, 3, 8, 20, 45, 100)]
+    configs = [
+        TrainConfig(k=k, e=e, max_rounds=1500, target_loss=target, seed=21) for k, e in cells
+    ]
+    grid_runs = {
+        cell: run_totals(traces, target)
+        for cell, traces in zip(cells, train_all(dataset, profile, configs))
+    }
 
     for gamma in (0.0, 0.5, 1.0):
         solution = acs_optimize(averaged_costs(profile, gamma), coeffs)

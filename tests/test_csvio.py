@@ -19,3 +19,11 @@ def test_write_csv_keeps_an_existing_file_when_a_row_is_bad(tmp_path):
         write_csv(str(path), ["a", "b"], [[1, 2], [1, 2, 3]])
     assert os.listdir(tmp_path) == ["table.csv"]
     assert path.read_text() == "a,b\n1,true\n"
+
+
+def test_write_csv_removes_the_directories_it_made_when_a_row_is_bad(tmp_path, monkeypatch):
+    # the directories it made go again; tmp_path, which was there, stays
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError):
+        write_csv(os.path.join("made", "by", "it", "table.csv"), ["a", "b"], [[1, 2], [3]])
+    assert os.listdir(tmp_path) == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import usable_cpus
+from fedcost import learner
 from fedcost.datagen import FederatedDataset
 from fedcost.learner import (
     ModelParams,
@@ -21,9 +22,9 @@ from fedcost.learner import (
     export_traces,
     global_loss,
     local_sgd,
-    map_runs,
     mean_cross_entropy,
     run_fedavg,
+    train_all,
 )
 from fedcost.scheduler import Strategy, round_time
 from fedcost.seeding import sub_seed
@@ -458,30 +459,38 @@ def test_row_max_is_the_max_over_the_last_axis(a):
     assert got[exact].tobytes() == expected[exact].tobytes()
 
 
+def runs(monkeypatch, result, pairs):
+    """One TrainConfig per (K, E) pair, run i seeded i, for train_all over a
+    fake run_fedavg whose traces are result(seed)."""
+    monkeypatch.setattr(learner, "run_fedavg", lambda dataset, profile, c: (None, result(c.seed)))
+    return [TrainConfig(k=k, e=e, seed=i) for i, (k, e) in enumerate(pairs)]
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_map_runs_returns_results_in_input_order(monkeypatch, cpus):
+def test_train_all_returns_traces_in_input_order(monkeypatch, cpus):
     usable_cpus(monkeypatch, cpus)
-    results = map_runs(lambda i: (i * i, os.getpid()), [1, 4, 2, 3])
+    configs = runs(monkeypatch, lambda i: (i * i, os.getpid()), [(1, 1), (2, 2), (1, 2), (3, 1)])
+    results = train_all(None, None, configs)
     assert [r for r, _ in results] == [0, 1, 4, 9]
     workers = {pid for _, pid in results}
     # one usable CPU runs here; more fork a worker each, up to the run count
     assert workers == {os.getpid()} if cpus == 1 else os.getpid() not in workers
-    assert multiprocessing.active_children() == []
 
 
-def test_map_runs_submits_the_heaviest_first(monkeypatch):
+def test_train_all_submits_the_heaviest_first(monkeypatch):
     usable_cpus(monkeypatch, 2)
     submitted = []
     submit = ProcessPoolExecutor.submit
     monkeypatch.setattr(
         ProcessPoolExecutor, "submit",
-        lambda pool, fn, i: submitted.append(i) or submit(pool, fn, i),
+        lambda pool, fn, c: submitted.append(c.seed) or submit(pool, fn, c),
     )
-    assert map_runs(lambda i: i, [1, 5, 5, 9]) == [0, 1, 2, 3]
+    configs = runs(monkeypatch, lambda i: i, [(1, 1), (5, 1), (1, 5), (3, 3)])
+    assert train_all(None, None, configs) == [0, 1, 2, 3]
     assert submitted == [3, 1, 2, 0]  # ties keep input order
 
 
-def test_map_runs_raises_the_first_failure_in_input_order(monkeypatch):
+def test_train_all_raises_the_first_failure_in_input_order(monkeypatch):
     usable_cpus(monkeypatch, 2)
 
     def run(i):
@@ -492,19 +501,18 @@ def test_map_runs_raises_the_first_failure_in_input_order(monkeypatch):
         return i
 
     with pytest.raises(ValueError, match="^run 1 failed$"):
-        map_runs(run, [1, 2, 3])
-    assert multiprocessing.active_children() == []
+        train_all(None, None, runs(monkeypatch, run, [(1, 1), (1, 2), (1, 3)]))
 
 
-def test_map_runs_raises_when_a_worker_dies(monkeypatch):
+def test_train_all_raises_when_a_worker_dies(monkeypatch):
     usable_cpus(monkeypatch, 2)
+    configs = runs(monkeypatch, lambda i: os._exit(1) if i == 1 else i, [(1, 1)] * 3)
     with pytest.raises(BrokenProcessPool):
-        map_runs(lambda i: os._exit(1) if i == 1 else i, [1, 1, 1])
-    assert multiprocessing.active_children() == []
+        train_all(None, None, configs)
 
 
 @pytest.mark.parametrize("missing", ["affinity", "fork"])
-def test_map_runs_runs_serially_without_affinity_or_fork(monkeypatch, missing):
+def test_train_all_runs_serially_without_affinity_or_fork(monkeypatch, missing):
     if missing == "affinity":
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
@@ -514,4 +522,5 @@ def test_map_runs_runs_serially_without_affinity_or_fork(monkeypatch, missing):
             raise ValueError(f"cannot find context for {method!r}")
 
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    assert map_runs(lambda i: (i, os.getpid()), [1, 2]) == [(0, os.getpid()), (1, os.getpid())]
+    configs = runs(monkeypatch, lambda i: (i, os.getpid()), [(1, 1), (1, 2)])
+    assert train_all(None, None, configs) == [(0, os.getpid()), (1, os.getpid())]
