@@ -44,7 +44,6 @@ class CostReport:
     expected_time: float
     expected_energy: float
     total_cost: float
-    rounds: float
 
 
 def sampling_penalty(k, n_clients):
@@ -94,22 +93,16 @@ def expected_time_exact(k, e, r, profile):
     return (first_term * e + t_m * k) * r
 
 
-def _budget_numerator(k, e, costs, coeffs):
-    """rho + phi(K) E^2, the convergence budget scaled by E R."""
-    return coeffs.rho + sampling_penalty(k, costs.n_clients) * e**2
-
-
 def convergence_bound(k, e, r, costs, coeffs):
     """Loss-precision budget after R rounds: (rho + phi(K) E^2) / (E R)."""
-    e = np.asarray(e, dtype=float)
-    return _budget_numerator(k, e, costs, coeffs) / (e * r)
+    return rounds_needed(k, e, costs, coeffs) / r
 
 
 def rounds_needed(k, e, costs, coeffs):
     """Rounds required to drive the convergence budget down to 1:
     (rho + phi(K) E^2) / E.  Continuous; callers ceil to simulate."""
     e = np.asarray(e, dtype=float)
-    return _budget_numerator(k, e, costs, coeffs) / e
+    return (coeffs.rho + sampling_penalty(k, costs.n_clients) * e**2) / e
 
 
 def p3_objective(k, e, costs, coeffs):
@@ -131,7 +124,7 @@ def cost_report(k, e, costs, coeffs):
     r = rounds_needed(k, e, costs, coeffs)
     t = expected_time_approx(k, e, r, costs)
     en = expected_energy(k, e, r, costs)
-    return CostReport(t, en, costs.gamma * en + (1.0 - costs.gamma) * t, r)
+    return CostReport(t, en, costs.gamma * en + (1.0 - costs.gamma) * t)
 
 
 def dump_cost_surface(path, costs, coeffs, k_values, e_values):

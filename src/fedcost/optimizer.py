@@ -3,11 +3,11 @@ an exhaustive-grid baseline, pilot-run estimation of the difficulty ratio rho,
 and numeric verification of the qualitative solution properties.
 
 The blended-cost objective is strictly biconvex in (K, E), so it is minimized
-by alternating two one-dimensional solves: the K step has a closed form (the
-positive root of the stationarity condition), and the E step bisects a
-strictly increasing cubic condition.  The continuous fixed point is then
-rounded by grid_search over its floor/ceil integer candidates, so ACS and
-the exhaustive grid share one argmin and one tie rule.
+by alternating two one-dimensional solves, each in closed form: the K step
+takes the positive root of a quadratic stationarity condition, the E step
+the positive root of a strictly increasing cubic one.  The continuous fixed
+point is then rounded by grid_search over its floor/ceil integer candidates,
+so ACS and the exhaustive grid share one argmin and one tie rule.
 
 rho itself is unknown a priori.  It is recovered from short pilot runs: run
 training at a few (K, E) pairs until two preset loss levels are crossed; the
@@ -83,12 +83,12 @@ class RhoEstimate:
 
 def solve_k_given_e(e, costs, coeffs):
     """Continuous minimizer of the objective in K at fixed E, clamped to
-    [1, N].  Pure energy pricing (gamma = 1) always returns 1."""
+    [1, N].  Pure energy pricing (gamma = 1) gives K^2 = 0, so K = 1."""
     n = costs.n_clients
     g = costs.gamma
     if not np.isfinite(e) or e <= 0:
         raise ValueError("e must be finite and > 0")
-    if g >= 1.0 or n == 1:
+    if n == 1:  # the closed form is 0/0 there
         return 1.0
     c = (1.0 - g) * costs.t_m + g * (costs.e_p * e + costs.e_m)
     curvature = coeffs.rho / e + (n - 2) * e / (n - 1)
@@ -96,17 +96,8 @@ def solve_k_given_e(e, costs, coeffs):
     return float(min(max(math.sqrt(ksq), 1.0), n))
 
 
-def _e_stationarity(e, k, costs, coeffs):
-    """Strictly increasing in E; its positive root is the E minimizer."""
-    g = costs.gamma
-    phi = sampling_penalty(k, costs.n_clients)
-    a = (1.0 - g) * costs.t_p + g * k * costs.e_p
-    b = (1.0 - g) * costs.t_m * k + g * k * costs.e_m
-    return phi * (2.0 * a * e**3 + b * e**2) - coeffs.rho * b
-
-
 # ACS starts at (max(1, N/2), _E0) and stops once a sweep moves (K, E) by at
-# most _TOL, or after _MAX_SWEEPS sweeps; the E solve searches up to _E_MAX.
+# most _TOL, or after _MAX_SWEEPS sweeps; the E solve raises past _E_MAX.
 _E0 = 10.0
 _TOL = 1e-3
 _MAX_SWEEPS = 100
@@ -115,33 +106,43 @@ _E_MAX = 1e6
 
 def solve_e_given_k(k, costs, coeffs):
     """Continuous minimizer of the objective in E at fixed K, clamped to
-    >= 1.  Bisects the stationarity condition on [1e-6, _E_MAX] to 1e-9."""
+    >= 1: the positive root E* of phi(K) (2 a E^3 + b E^2) = rho b, with a
+    and b the blended per-step and per-upload costs.  Raises ValueError
+    when E* exceeds _E_MAX."""
     n = costs.n_clients
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}]")
-    lo, hi = 1e-6, _E_MAX
-    if _e_stationarity(hi, k, costs, coeffs) < 0:
-        raise ValueError(f"E minimizer exceeds the search ceiling e_max={_E_MAX:g}")
-    if _e_stationarity(lo, k, costs, coeffs) >= 0:
+    g = costs.gamma
+    phi = sampling_penalty(k, n)
+    a = (1.0 - g) * costs.t_p + g * k * costs.e_p
+    b = (1.0 - g) * costs.t_m * k + g * k * costs.e_m
+    # The cubic rises strictly from -rho b at E = 0, so E* <= 1 exactly when
+    # it is >= 0 at E = 1.  Past this test rho > phi and a / b < rho / 2 phi,
+    # so no coefficient below overflows (a tiny rho or b would).
+    if 2.0 * a + b >= coeffs.rho * b / phi:
         return 1.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if _e_stationarity(mid, k, costs, coeffs) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return max(1.0, 0.5 * (lo + hi))
+    # Over -b E^3 the cubic is rho y^3 - phi y - 2 phi a / b in y = 1 / E.
+    # Its other two roots in E sum to -b / 2a - E* and multiply with E* to a
+    # positive number, so their real parts, and their reciprocals', are
+    # negative: 1 / E* is the largest root.  Solved for E, a small E* beside
+    # the root near -b / 2a would get only that root's absolute accuracy.
+    y = max(np.roots([coeffs.rho, 0.0, -phi, -2.0 * phi * (a / b)]).real)
+    root = 1.0 / float(y)
+    if root > _E_MAX:
+        raise ValueError(
+            f"E minimizer {root:g} at rho={coeffs.rho:g} exceeds the ceiling e_max={_E_MAX:g}"
+        )
+    return max(1.0, root)
 
 
 def acs_optimize(costs, coeffs):
     """Alternate convex search for the integer (K*, E*) and the matching
     round count.
 
-    Alternates the closed-form K solve and the bisection E solve until the
-    iterate moves less than the tolerance; hitting the sweep cap instead
-    flags the result non-converged.  The continuous fixed point is rounded
-    by grid_search over floor/ceil of K (clamped to [1, N]) and of E (at
-    least 1).
+    Alternates the closed-form K and E solves until the iterate moves less
+    than the tolerance; hitting the sweep cap instead flags the result
+    non-converged.  The continuous fixed point is rounded by grid_search
+    over floor/ceil of K (clamped to [1, N]) and of E (at least 1).
     """
     n = costs.n_clients
     k, e = max(1.0, n / 2.0), _E0

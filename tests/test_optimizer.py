@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_costs
 from fedcost.costmodel import ConvergenceCoeffs, p3_objective, sampling_penalty
@@ -102,6 +104,42 @@ def test_e_solve_depends_only_on_energy_ratio_at_gamma_one():
     e1 = solve_e_given_k(4, base, SIM_COEFFS)
     e2 = solve_e_given_k(4, scaled, SIM_COEFFS)
     assert e1 == pytest.approx(e2, abs=1e-6)
+
+
+_LOG_PRICE = st.floats(-6.0, 4.0).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    costs=st.builds(
+        AveragedCosts,
+        n_clients=st.integers(1, 1000),
+        t_p=_LOG_PRICE, t_m=_LOG_PRICE, e_p=_LOG_PRICE, e_m=_LOG_PRICE,
+        gamma=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    ),
+    rho=st.floats(-6.0, 20.0).map(lambda x: 10.0**x),
+    k_share=st.floats(0.0, 1.0),
+)
+def test_e_solve_lands_on_the_cubic_root(costs, rho, k_share):
+    # phi (2 a E^3 + b E^2) - rho b rises strictly from -rho b at E = 0, so
+    # its sign at 1 and at the 1e6 ceiling places the root
+    k = 1.0 + k_share * (costs.n_clients - 1)
+    g = costs.gamma
+    phi = sampling_penalty(k, costs.n_clients)
+    a = (1.0 - g) * costs.t_p + g * k * costs.e_p
+    b = (1.0 - g) * costs.t_m * k + g * k * costs.e_m
+
+    def residual(e):
+        return (phi * (2.0 * a * e**3 + b * e**2) - rho * b) / (rho * b)
+
+    coeffs = ConvergenceCoeffs(rho=rho)
+    if residual(1e6) < 0:
+        with pytest.raises(ValueError, match="e_max"):
+            solve_e_given_k(k, costs, coeffs)
+    elif residual(1.0) >= 0:
+        assert solve_e_given_k(k, costs, coeffs) == 1.0
+    else:
+        assert abs(residual(solve_e_given_k(k, costs, coeffs))) <= 1e-11
 
 
 def test_e_solve_respects_ceiling():
