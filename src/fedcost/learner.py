@@ -80,41 +80,31 @@ class RoundTrace:
     energy_j: float
 
 
-# Up to this many rows numpy's reduce of a short last axis beats a column
-# loop, whose cost is about C calls whatever the row count: at C = 10, 64 rows
-# take 5.8 us against 21 us and 256 rows 16.5 us against 21 us, but 512 rows
-# 27.5 us against 25 us and 3000 rows 165 us against 45 us.
-_REDUCE_MAX_ROWS = 256
-
-
 def _row_max(a):
     """Row maxima of an (..., C) array, kept as (..., 1).
 
-    A maximum is exact in any order, so both ways give the same bits, but
-    for the sign of a zero maximum and the payload of a nan one, which no
-    caller sees (each subtracts it before an exp): numpy's reduce, which
-    runs one row at a time, over a few rows (one client's minibatch), and
-    column by column over more."""
-    if a.size <= _REDUCE_MAX_ROWS * a.shape[-1]:
-        return np.maximum.reduce(a, axis=-1, keepdims=True)
-    top = a[..., :1].copy()
-    for j in range(1, a.shape[-1]):
-        np.maximum(top, a[..., j:j + 1], out=top)
-    return top
+    One reduce down a class-major copy: C - 1 element-wise maxima of whole
+    columns, a few numpy calls whatever the row count.  A maximum is exact in
+    any order, so this gives np.max's bits, but for the sign of a zero
+    maximum and the payload of a nan one, which no caller sees (each
+    subtracts it before an exp)."""
+    cols = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
+    return np.maximum.reduce(cols, axis=0).reshape(a.shape[:-1] + (1,))
+
+
+def _hot(labels, n_classes):
+    """Flat positions of the label entries in a (..., C) array whose n rows
+    follow the last axis of `labels`: row j's is j * C + its label.  Labels
+    (s, n) give s rows of positions, row i those of labels[i]."""
+    return np.arange(labels.shape[-1]) * n_classes + labels
 
 
 def _log_likelihoods(logits, labels):
     """Each row's log-softmax at its label; logits (n, C) is overwritten."""
     logits -= _row_max(logits)
-    picked = logits[np.arange(labels.shape[0]), labels]
+    picked = np.take(logits, _hot(labels, logits.shape[1]))
     np.exp(logits, out=logits)
     return picked - np.log(np.add.reduce(logits, axis=1))
-
-
-def _hot(labels, n_classes):
-    """Flat positions of each row's label entry in a (..., C) array whose
-    rows follow `labels`."""
-    return np.arange(labels.size) * n_classes + labels.ravel()
 
 
 def _residuals(logits, hot, count):
@@ -268,7 +258,6 @@ def _minibatch_steps(w, b, dataset, ids, steps, lr, batch_size, rngs):
     logits = np.empty((ids.size, batch_size, w.shape[1]))
     gw = np.empty_like(w)
     w_t, b_row, p_t = w.transpose(0, 2, 1), b[:, None, :], logits.transpose(0, 2, 1)
-    row_starts = np.arange(ids.size * batch_size) * w.shape[1]
     for done in range(0, steps, _DRAW_CHUNK):
         chunk = min(_DRAW_CHUNK, steps - done)
         # one (chunk, B) draw gives a client the indices of chunk B-sized draws
@@ -276,7 +265,7 @@ def _minibatch_steps(w, b, dataset, ids, steps, lr, batch_size, rngs):
             [rng.integers(0, n_k, size=(chunk, batch_size)) for rng, n_k in zip(rngs, sizes)],
             axis=1,
         ) + offsets
-        hots = dataset.labels[rows].reshape(chunk, -1) + row_starts
+        hots = _hot(dataset.labels[rows].reshape(chunk, -1), w.shape[1])
         for step_rows, hot in zip(rows, hots):
             # rows are in range by construction; the default mode="raise"
             # would gather through a temporary as large as x

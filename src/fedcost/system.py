@@ -21,8 +21,8 @@ def _as_positive_array(name, values, n=None):
         arr = np.array(values, dtype=float)
     except (TypeError, OverflowError):  # a JSON integer past 1e308 overflows
         raise ValueError(f"{name} must be an array of numbers") from None
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d array")
+    if arr.ndim != 1 or arr.size == 0:  # a fleet needs a client
+        raise ValueError(f"{name} must be a non-empty 1-d array")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"{name} must have length {n}, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0):

@@ -899,9 +899,12 @@ _COUNT_AND_JITTER = "profile n_clients must be an integer and jitter a number, g
     ({"t_comp": [True] * 8}, "t_comp must be an array of numbers"),
     ({"e_comp": ["1"] * 8}, "e_comp must be an array of numbers"),
     ({"comm_time_mean": [10**400] * 8}, "comm_time_mean must be an array of numbers"),
+    ({"n_clients": 0, "t_comp": [], "e_comp": [], "comm_time_mean": [],
+      "comm_energy_mean": []}, "t_comp must be a non-empty 1-d array"),
 ], ids=["list", "null-n-clients", "null-jitter", "infinite-n-clients", "object-array",
         "fractional-n-clients", "bool-n-clients", "string-n-clients", "bool-jitter",
-        "string-jitter", "bool-entries", "string-entries", "overflowing-entries"])
+        "string-jitter", "bool-entries", "string-entries", "overflowing-entries",
+        "no-clients"])
 def test_malformed_profile_file_is_one_error_line(tmp_path, capsys, payload, problem):
     if isinstance(payload, dict):
         write_profile(tmp_path, 8)

@@ -6,7 +6,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,6 +16,7 @@ from fedcost.datagen import FederatedDataset
 from fedcost.learner import (
     ModelParams,
     TrainConfig,
+    _hot,
     _row_max,
     aggregate,
     ce_gradient,
@@ -437,26 +438,47 @@ def test_round_engine_equals_per_client_local_sgd_on_random_shapes(
     assert_engine_equals_per_client_loop(dataset, config)
 
 
+def _normal(shape):
+    return np.random.default_rng(0).standard_normal(shape)
+
+
 @settings(max_examples=200, deadline=None)
 @given(hnp.arrays(
     float,
-    st.one_of(  # up to 600 or 8 x 80 rows, over and under _REDUCE_MAX_ROWS = 256
+    st.one_of(  # a full-batch softmax's rows, or m clients' B-row minibatches
         st.tuples(st.integers(1, 600), st.integers(1, 12)),
         st.tuples(st.integers(1, 8), st.integers(1, 80), st.integers(1, 12)),
     ),
     elements=st.floats(allow_nan=True, allow_infinity=True),
 ))
+# the extremes of the round engine's traffic: one client's minibatch, a group
+# of eight, and a fleet's global_loss
+@example(_normal((1, 64, 10)))
+@example(_normal((8, 64, 10)))
+@example(_normal((10177, 10)))
 def test_row_max_is_the_max_over_the_last_axis(a):
-    # bit for bit, on both sides of the row count that picks the method, but
-    # for a zero maximum's sign and a nan maximum's payload: numpy's reduce
-    # and its element-wise maximum settle -0.0 against 0.0, and nan against
-    # nan, differently
+    # bit for bit at every shape, but for a zero maximum's sign and a nan
+    # maximum's payload: numpy's reduce along a row and its element-wise
+    # maximum down a column settle -0.0 against 0.0, and nan against nan,
+    # differently
     expected = np.max(a, axis=-1, keepdims=True)
     got = _row_max(a)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected, equal_nan=True)
     exact = ~np.isnan(expected) & (expected != 0)
     assert got[exact].tobytes() == expected[exact].tobytes()
+
+
+@given(st.integers(1, 12), st.data())
+def test_hot_numbers_each_row_of_labels_from_zero(n_classes, data):
+    labels = data.draw(hnp.arrays(
+        np.int64,
+        st.tuples(st.integers(1, 8), st.integers(1, 80)),  # (chunk, m B) minibatch labels
+        elements=st.integers(0, n_classes - 1),
+    ))
+    hot = _hot(labels, n_classes)
+    for i in range(labels.shape[0]):
+        assert np.array_equal(hot[i], np.arange(labels.shape[1]) * n_classes + labels[i])
 
 
 def runs(monkeypatch, result, pairs):

@@ -104,6 +104,11 @@ def test_profile_freezes_copies_not_the_callers_arrays():
     assert not p.t_comp.flags.writeable
 
 
+def test_profile_needs_a_client():
+    with pytest.raises(ValueError, match="t_comp"):
+        SystemProfile([], [], [], [], comm_jitter=0.1)
+
+
 def test_profile_json_roundtrip(tmp_path):
     p = sample_profile(8, 0.5, 0.1, 0.01, 0.2, 0.02, 0.15, seed=5)
     path = tmp_path / "profile.json"
