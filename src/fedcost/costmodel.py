@@ -72,7 +72,16 @@ def expected_time_approx(k, e, r, costs):
 
 
 def expected_time_exact(k, e, r, profile):
-    """Exact expected total time for integer K under uniform sampling.
+    """Exact expected total time for integer K under uniform sampling, of
+    the round that never waits: the fastest sampled client's computation
+    plus every upload, one after another.
+
+    That chain is the optimal-ts round (scheduler.round_time) only when
+    uploads dominate, so the channel never idles for a computation.  Mean
+    simulated optimal-ts round time over this formula, on a 20-client fleet
+    with t_p = 0.05, K in {5, 20} and E in {20, 100}: 1.00 when
+    communication-bound (t_m = 2.0), up to 1.58 balanced (t_m = 0.05) and
+    up to 2.02 compute-bound (t_m = 0.005).
 
     The computation term averages the fastest sampled client's iteration
     time: client (i) in the ascending sort is fastest with probability

@@ -114,12 +114,18 @@ def _shard_sizes(rng, n_clients, size_mean, size_std):
 
 
 def gen_synthetic(alpha, beta, n_clients, size_mean, size_std, seed, n_features=60, n_classes=10):
-    """Generate a Synthetic(alpha, beta) federated dataset.
+    """Generate a Synthetic(alpha, beta) federated dataset, as Li et al.
+    define it (FedProx, arXiv 1812.06127).
 
-    alpha spreads the per-client labeling models, beta the per-client input
-    means.  Shard sizes are log-normal with the requested mean/std.  All
-    randomness derives from the single seed through one named sub-stream per
-    client, so results are bit-identical across runs and thread counts.
+    Client k labels its rows by argmax(W_k x + b_k), with every entry of W_k
+    and b_k drawn from N(u_k, 1), u_k ~ N(0, alpha); its inputs have mean
+    v_k, drawn from N(B_k, 1) per feature, B_k ~ N(0, beta), and covariance
+    diag(j^-1.2).  So alpha spreads the clients' labeling models and beta
+    their input means, while at alpha = beta = 0 the clients still draw
+    their own models and means, around 0.  Shard sizes are log-normal with
+    the requested mean/std.  All randomness derives from the single seed
+    through one named sub-stream per client, so results are bit-identical
+    across runs and thread counts.
     """
     for name, v in (("alpha", alpha), ("beta", beta), ("size_mean", size_mean), ("size_std", size_std)):
         if not np.isfinite(v):
@@ -144,10 +150,10 @@ def gen_synthetic(alpha, beta, n_clients, size_mean, size_std, seed, n_features=
     for k, (stop, n_k) in enumerate(zip(np.cumsum(sizes).tolist(), sizes.tolist())):
         rng = stream(seed, k + 1)
         u = np.sqrt(alpha) * rng.standard_normal()
-        weight = u + np.sqrt(alpha) * rng.standard_normal((n_classes, n_features))
-        bias = u + np.sqrt(alpha) * rng.standard_normal(n_classes)
+        weight = u + rng.standard_normal((n_classes, n_features))
+        bias = u + rng.standard_normal(n_classes)
         b_off = np.sqrt(beta) * rng.standard_normal()
-        v = b_off + np.sqrt(beta) * rng.standard_normal(n_features)
+        v = b_off + rng.standard_normal(n_features)
         rows = features[stop - n_k:stop]
         rows[:] = v + rng.standard_normal(rows.shape) * cov_scale
         labels[stop - n_k:stop] = np.argmax(rows @ weight.T + bias, axis=1)

@@ -2,14 +2,16 @@
 
 One training round: sample K of the N clients uniformly without replacement,
 run E local SGD steps on each with a per-round decayed learning rate,
-aggregate the returned models weighted by shard size, then draw the round's
-communication costs.  The sampled clients are stepped together, in stacked
-numpy calls over the dataset's packed rows, with the same float operations
-per client as local_sgd, so a round's result is bit-identical to a loop of
-local_sgd calls.  Each trace keeps the round's job (computation
-and upload seconds per sampled client) and its energy; the uplink strategy
-only prices the job, via scheduler.round_time, so one trajectory serves
-every strategy.
+aggregate the returned models weighted by shard size, score the federation
+with global_loss, then draw the round's communication costs.  The sampled
+clients are stepped together, in stacked numpy calls over the dataset's
+packed rows, with the same float operations per client as local_sgd, so a
+round's result is bit-identical to a loop of local_sgd calls.  global_loss
+writes every array it computes into one scratch that run_fedavg builds per
+run, so the rounds allocate no array the size of the federation.  Each trace
+keeps the round's job (computation and upload seconds per sampled client)
+and its energy; the uplink strategy only prices the job, via
+scheduler.round_time, so one trajectory serves every strategy.
 
 Gradients are explicit (softmax minus one-hot), which keeps the model convex
 and finite-difference checkable.  All client randomness is pre-keyed on
@@ -80,16 +82,21 @@ class RoundTrace:
     energy_j: float
 
 
-def _row_max(a):
+def _row_max(a, cols=None, out=None):
     """Row maxima of an (..., C) array, kept as (..., 1).
 
     One reduce down a class-major copy: C - 1 element-wise maxima of whole
     columns, a few numpy calls whatever the row count.  A maximum is exact in
     any order, so this gives np.max's bits, but for the sign of a zero
     maximum and the payload of a nan one, which no caller sees (each
-    subtracts it before an exp)."""
-    cols = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T)
-    return np.maximum.reduce(cols, axis=0).reshape(a.shape[:-1] + (1,))
+    subtracts it before an exp).  Given cols (C, rows) and out (rows,), the
+    copy and the maxima are written into them."""
+    flat = a.reshape(-1, a.shape[-1]).T
+    if cols is None:
+        cols = np.ascontiguousarray(flat)
+    else:
+        np.copyto(cols, flat)
+    return np.maximum.reduce(cols, axis=0, out=out).reshape(a.shape[:-1] + (1,))
 
 
 def _hot(labels, n_classes):
@@ -99,12 +106,18 @@ def _hot(labels, n_classes):
     return np.arange(labels.shape[-1]) * n_classes + labels
 
 
-def _log_likelihoods(logits, labels):
-    """Each row's log-softmax at its label; logits (n, C) is overwritten."""
-    logits -= _row_max(logits)
-    picked = np.take(logits, _hot(labels, logits.shape[1]))
+def _log_likelihoods(logits, hot, picked=None, cols=None, norm=None):
+    """Each row's log-softmax at its label, given the flat positions `hot` of
+    the label entries; logits (n, C) is overwritten.  Given picked (n,),
+    cols (C, n) and norm (n,), every array of the computation is written into
+    them: the result into picked, the row max and then the log-sum-exp into
+    norm; the positions must then be in range."""
+    logits -= _row_max(logits, cols, norm)
+    # into `picked`, the default mode="raise" would gather through a temporary
+    picked = np.take(logits, hot, out=picked, mode="raise" if picked is None else "clip")
     np.exp(logits, out=logits)
-    return picked - np.log(np.add.reduce(logits, axis=1))
+    norm = np.log(np.add.reduce(logits, axis=1, out=norm), out=norm)
+    return np.subtract(picked, norm, out=picked)
 
 
 def _residuals(logits, hot, count):
@@ -121,7 +134,7 @@ def _residuals(logits, hot, count):
 
 def mean_cross_entropy(model, features, labels):
     """Mean cross-entropy of the model over a batch."""
-    ll = _log_likelihoods(features @ model.weights.T + model.bias, labels)
+    ll = _log_likelihoods(features @ model.weights.T + model.bias, _hot(labels, model.n_classes))
     return float(-ll.sum() / labels.shape[0])
 
 
@@ -133,24 +146,45 @@ def ce_gradient(model, features, labels):
     return p.T @ features, p.sum(axis=0)
 
 
-def global_loss(model, dataset):
+class _LossScratch:
+    """global_loss's arrays for one dataset, built once per run: the (n, C)
+    logits, the (C, n) class-major copy that _row_max reduces, the picked
+    log-likelihoods (n,), the row max and then the log-sum-exp (n,), the
+    one-hot positions, and each shard's (feature rows, logit rows) and
+    (log-likelihood rows, size) pairs."""
+
+    def __init__(self, dataset):
+        n, c = dataset.n, dataset.n_classes
+        self.logits = np.empty((n, c))
+        self.cols = np.empty((c, n))
+        self.picked = np.empty(n)
+        self.norm = np.empty(n)
+        self.hot = _hot(dataset.labels, c)
+        spans = list(zip(dataset.offsets.tolist(), (dataset.offsets + dataset.sizes).tolist()))
+        self.products = [(dataset.features[i:j], self.logits[i:j]) for i, j in spans]
+        self.shards = [(self.picked[i:j], j - i) for i, j in spans]
+
+
+def global_loss(model, dataset, scratch=None):
     """Shard-size-weighted mean cross-entropy over the whole federation.
 
     Each shard's logits come from its own product (one product over all rows
     rounds some rows differently), and each shard's mean is summed on its
-    own, in shard order, as a loop of mean_cross_entropy would."""
+    own, in shard order, as a loop of mean_cross_entropy would.  Every array
+    of the computation is written into `scratch`, a _LossScratch of this
+    dataset; run_fedavg passes one built per run, and without it the call
+    builds its own."""
     if model.n_features != dataset.n_features or model.n_classes != dataset.n_classes:
         raise ValueError("model dimensions do not match the dataset")
-    logits = np.empty((dataset.n, dataset.n_classes))
+    s = _LossScratch(dataset) if scratch is None else scratch
     w_t = model.weights.T
-    spans = list(zip(dataset.offsets.tolist(), dataset.sizes.tolist()))
-    for start, n_k in spans:
-        np.matmul(dataset.features[start:start + n_k], w_t, out=logits[start:start + n_k])
-    logits += model.bias
-    ll = _log_likelihoods(logits, dataset.labels)
+    for x, logits in s.products:
+        np.matmul(x, w_t, out=logits)
+    s.logits += model.bias
+    _log_likelihoods(s.logits, s.hot, s.picked, s.cols, s.norm)
     total = 0.0
-    for start, n_k in spans:
-        total += n_k * float(-np.add.reduce(ll[start:start + n_k]) / n_k)
+    for ll, n_k in s.shards:
+        total += n_k * float(-np.add.reduce(ll) / n_k)
     return total / dataset.n
 
 
@@ -201,12 +235,15 @@ def aggregate(ids, weights, biases, dataset):
     p = dataset.weights[ids]
     w = p[:, None, None] * weights[order]
     b = p[:, None] * biases[order]
-    p_sum = p[0]
-    for j in range(1, ids.size):
-        w[0] += w[j]
-        b[0] += b[j]
-        p_sum += p[j]
-    return ModelParams(w[0] / p_sum, b[0] / p_sum)
+    # An outer-axis reduce adds whole entries left to right when they hold
+    # two or more numbers (a 1-d reduce is pairwise; with one class every
+    # model stays 0), and from -0.0, to which the first entry adds exactly
+    # (numpy's 0.0 would turn a -0.0 into 0.0).  p's sequential sum is
+    # accumulate's last entry.
+    p_sum = np.add.accumulate(p)[-1]
+    w_sum = np.add.reduce(w, axis=0, initial=-0.0)
+    b_sum = np.add.reduce(b, axis=0, initial=-0.0)
+    return ModelParams(w_sum / p_sum, b_sum / p_sum)
 
 
 # Softmax-regression gradients are bounded by the inputs, so a huge step size
@@ -326,6 +363,7 @@ def run_fedavg(dataset, profile, config):
     model = ModelParams.zeros(dataset.n_classes, dataset.n_features)
     loss_limit = _DIVERGED_LOSS_RATIO * math.log(dataset.n_classes)
     sample_rng = stream(config.seed, SAMPLING)
+    scratch = _LossScratch(dataset)
     traces = []
     for r in range(config.max_rounds):
         ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
@@ -337,7 +375,7 @@ def run_fedavg(dataset, profile, config):
                     model, dataset, ids, config.e, lr, config.batch_size, config.seed, r
                 )
                 model = aggregate(ids, w, b, dataset)
-                loss = global_loss(model, dataset)
+                loss = global_loss(model, dataset, scratch)
         except FloatingPointError as exc:
             raise DivergenceError(f"diverged at round {r}: {exc}") from None
         if not loss <= loss_limit:  # also true of nan

@@ -126,8 +126,18 @@ def solve_e_given_k(k, costs, coeffs):
     # positive number, so their real parts, and their reciprocals', are
     # negative: 1 / E* is the largest root.  Solved for E, a small E* beside
     # the root near -b / 2a would get only that root's absolute accuracy.
-    y = max(np.roots([coeffs.rho, 0.0, -phi, -2.0 * phi * (a / b)]).real)
-    root = 1.0 / float(y)
+    # With y = 2 z / (sqrt(3) r), r = sqrt(rho / phi) (finite, as 1 <= phi <=
+    # 2), it is 4 z^3 - 3 z = t, whose largest root is cos(acos(t) / 3) when
+    # t <= 1 (three real roots) and cosh(acosh(t) / 3) past it (one).
+    r = math.sqrt(coeffs.rho / phi)
+    t = 3.0 * math.sqrt(3.0) * r * (a / b)
+    if t <= 1.0:
+        y = 2.0 * math.cos(math.acos(t) / 3.0) / (math.sqrt(3.0) * r)
+    elif t < math.inf:
+        y = 2.0 * math.cosh(math.acosh(t) / 3.0) / (math.sqrt(3.0) * r)
+    else:  # there phi y is below 1e-200 of rho y^3, so rho y^3 = 2 phi a / b
+        y = (2.0 * (a / b) / r) ** (1.0 / 3.0) / r ** (1.0 / 3.0)
+    root = 1.0 / y
     if root > _E_MAX:
         raise ValueError(
             f"E minimizer {root:g} at rho={coeffs.rho:g} exceeds the ceiling e_max={_E_MAX:g}"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from fedcost.datagen import (
     load_idx,
     partition_by_label,
 )
+from fedcost.seeding import stream
 
 
 def test_shard_size_mean_matches_request():
@@ -31,10 +34,39 @@ def test_weights_sum_to_one_and_track_counts(small_dataset):
 
 
 def test_zero_heterogeneity_shares_labeling_model():
-    # alpha = beta = 0 collapses every client's model to the same one, so
-    # the labeling rule is identical across clients (inputs stay noisy).
-    ds = gen_synthetic(0, 0, 2, 50, 0, seed=3)
-    assert np.unique(ds.labels).size == 1
+    # alpha = 0 centres every client's labeling model on u_k = 0 (Li et al.):
+    # client k's W_k and b_k are its own N(0, 1) draws, replayed here from its
+    # substream after the draw that sqrt(alpha) scales into u_k
+    ds = gen_synthetic(0, 0, 4, 50, 0, seed=3)
+    for k in range(ds.n_clients):
+        rng = stream(3, k + 1)
+        rng.standard_normal()
+        weight = rng.standard_normal((ds.n_classes, ds.n_features))
+        bias = rng.standard_normal(ds.n_classes)
+        x, y = ds.shard(k)
+        assert np.array_equal(y, np.argmax(x @ weight.T + bias, axis=1))
+
+
+def test_zero_heterogeneity_labels_cover_every_class():
+    ds = gen_synthetic(0, 0, 200, 50, 25, seed=0)
+    assert np.unique(ds.labels).size == ds.n_classes
+
+
+# sha256 of features, labels and sizes, as the generator drew them when
+# alpha and beta scaled the N(0, 1) spreads too: at alpha = beta = 1 the
+# two forms draw the same bits
+@pytest.mark.parametrize("seed, n_clients, size_mean, size_std, digest", [
+    (0, 5, 50, 20, "50728b05bcecdb9c30d3d672c9fc1dde584f77e903d273edc873df9822ca861a"),
+    (7, 20, 100, 50, "1c68e9237aa8b1de15305a9e09339be57ad79c930e2e0c3e933c8f7998b758e6"),
+    (11, 3, 30, 0, "672aa46a5f3baa65fcc4d37dd63e0944bfd0714a4aaade77f32283c7465b28b9"),
+    (123, 50, 40, 25, "b67467b5c60ffcb3926ab58d3e73c5cb1914c3d724acac82c2d3cdcd82d50f04"),
+])
+def test_unit_heterogeneity_draws_the_recorded_bits(seed, n_clients, size_mean, size_std, digest):
+    ds = gen_synthetic(1, 1, n_clients, size_mean, size_std, seed=seed)
+    h = hashlib.sha256()
+    for a in (ds.features, ds.labels, ds.sizes):
+        h.update(a.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_generation_is_deterministic():

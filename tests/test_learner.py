@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -12,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import usable_cpus
 from fedcost import learner
-from fedcost.datagen import FederatedDataset
+from fedcost.datagen import FederatedDataset, gen_synthetic
 from fedcost.learner import (
     ModelParams,
     TrainConfig,
@@ -75,6 +76,68 @@ def test_equal_clients_average_their_losses():
 def test_global_loss_rejects_dimension_mismatch(small_dataset):
     with pytest.raises(ValueError):
         global_loss(ModelParams.zeros(3, small_dataset.n_features), small_dataset)
+
+
+def fresh_global_loss(model, dataset):
+    """global_loss with fresh arrays on every call: one product per shard,
+    one softmax over all rows, then each shard's mean in shard order."""
+    logits = np.empty((dataset.n, dataset.n_classes))
+    w_t = model.weights.T
+    spans = list(zip(dataset.offsets.tolist(), dataset.sizes.tolist()))
+    for start, n_k in spans:
+        np.matmul(dataset.features[start:start + n_k], w_t, out=logits[start:start + n_k])
+    logits += model.bias
+    logits -= np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
+    picked = np.take(logits, np.arange(dataset.n) * dataset.n_classes + dataset.labels)
+    np.exp(logits, out=logits)
+    ll = picked - np.log(np.add.reduce(logits, axis=1))
+    total = 0.0
+    for start, n_k in spans:
+        total += n_k * float(-np.add.reduce(ll[start:start + n_k]) / n_k)
+    return total / dataset.n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # shards cross the ~110 rows where OpenBLAS switches product kernels
+    sizes=st.lists(st.integers(1, 200), min_size=1, max_size=6),
+    n_features=st.integers(1, 40),
+    n_classes=st.integers(2, 12),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4),
+    scale=st.floats(-2.0, 1.0).map(lambda x: 10.0**x),
+)
+def test_global_loss_through_one_scratch_equals_fresh_arrays(sizes, n_features, n_classes,
+                                                             seeds, scale):
+    rng = np.random.default_rng(0)
+    ds = packed([(rng.standard_normal((n, n_features)), rng.integers(0, n_classes, n))
+                 for n in sizes], n_classes)
+    scratch = learner._LossScratch(ds)
+    # several models through the one scratch, so a stale buffer would show
+    for seed in seeds:
+        m_rng = np.random.default_rng(seed)
+        m = ModelParams(scale * m_rng.standard_normal((n_classes, n_features)),
+                        scale * m_rng.standard_normal(n_classes))
+        expected = fresh_global_loss(m, ds)
+        assert global_loss(m, ds, scratch).hex() == expected.hex()
+        assert global_loss(m, ds).hex() == expected.hex()
+
+
+def test_global_loss_with_its_scratch_allocates_less_than_the_logits():
+    # a 200-client fleet, as fleet-sweep's: fresh per-call arrays peaked at
+    # twice the (n, C) logits, and their freeing made glibc trim the heap
+    ds = gen_synthetic(1, 1, 200, 50, 25, seed=7)
+    rng = np.random.default_rng(3)
+    m = ModelParams(rng.standard_normal((ds.n_classes, ds.n_features)),
+                    rng.standard_normal(ds.n_classes))
+    scratch = learner._LossScratch(ds)
+    global_loss(m, ds, scratch)
+    tracemalloc.start()
+    try:
+        global_loss(m, ds, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.n * ds.n_classes * 8
 
 
 def test_local_sgd_zero_learning_rate_is_identity(small_dataset):
@@ -221,6 +284,35 @@ def test_aggregate_equals_the_per_client_loop_in_id_order(data):
             b_sum += p[cid] * m.bias
     assert got.weights.tobytes() == (w_sum / p_sum).tobytes()
     assert got.bias.tobytes() == (b_sum / p_sum).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_aggregate_sums_like_a_loop_over_the_entries(data):
+    # K up to 120 and entries of scales 1e-3 to 1e3: the sums must add whole
+    # entries one after another in id order, and p's sum too
+    n_clients = data.draw(st.integers(1, 120), label="n_clients")
+    k = data.draw(st.integers(1, n_clients), label="K")
+    ids = np.array(data.draw(st.permutations(range(n_clients)), label="ids")[:k])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ds = packed([(rng.standard_normal((n, 4)), rng.integers(0, 3, n))
+                 for n in rng.integers(1, 200, n_clients).tolist()], 3)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, (k, 1, 1))
+    weights = scales * rng.standard_normal((k, 3, 4))
+    biases = scales[:, :, 0] * rng.standard_normal((k, 3))
+    got = aggregate(ids, weights, biases, ds)
+
+    order = np.argsort(ids)
+    p = ds.weights[ids[order]]
+    w = p[:, None, None] * weights[order]
+    b = p[:, None] * biases[order]
+    p_sum = p[0]
+    for j in range(1, k):
+        w[0] += w[j]
+        b[0] += b[j]
+        p_sum += p[j]
+    assert got.weights.tobytes() == (w[0] / p_sum).tobytes()
+    assert got.bias.tobytes() == (b[0] / p_sum).tobytes()
 
 
 def test_aggregate_rejects_bad_updates():

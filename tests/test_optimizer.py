@@ -142,6 +142,15 @@ def test_e_solve_lands_on_the_cubic_root(costs, rho, k_share):
         assert abs(residual(solve_e_given_k(k, costs, coeffs))) <= 1e-11
 
 
+def test_e_solve_lands_on_the_root_where_its_scaled_cubic_overflows():
+    # rho = 1e300 and a / b = 2.5e290 put E* at 1000, where the scaled
+    # cubic's right-hand side 3 sqrt(3 rho / phi) a / b is past the float range
+    costs = AveragedCosts(n_clients=10, t_p=2.5e290, t_m=1.0, e_p=1.0, e_m=1.0, gamma=0.0)
+    e = solve_e_given_k(1, costs, ConvergenceCoeffs(rho=1e300))
+    phi = float(sampling_penalty(1, 10))
+    assert abs(phi * (2.0 * 2.5e290 * e**3 + e**2) / 1e300 - 1.0) <= 1e-11
+
+
 def test_e_solve_respects_ceiling():
     # this rho puts the E minimizer past the 1e6 search ceiling
     with pytest.raises(ValueError, match="e_max"):
