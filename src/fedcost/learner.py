@@ -15,10 +15,16 @@ scheduler.round_time, so one trajectory serves every strategy.
 
 Gradients are explicit (softmax minus one-hot), which keeps the model convex
 and finite-difference checkable.  All client randomness is pre-keyed on
-(seed, round, client), so traces are independent of execution order, and
-train_all can fan independent runs out to forked worker processes.
+(seed, round, client), so traces are independent of execution order: train_all
+fans independent runs out to forked worker processes, and a run whose rounds
+carry at least _SPLIT_STEPS local steps (K E) forks one stepping partner once
+a CPU is free for it (see run_fedavg).  Each round the partner steps about
+half of the sampled clients while the run steps the rest, and aggregation,
+scoring and the cost draws stay in the run.  A run has at most one partner,
+and every trace and model is the same bits at any CPU count.
 """
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -34,6 +40,10 @@ from .system import draw_round_costs
 class DivergenceError(RuntimeError):
     """Raised when a round's arithmetic overflows or turns invalid, or its
     global loss passes _DIVERGED_LOSS_RATIO times the zero model's loss."""
+
+
+class PartnerError(RuntimeError):
+    """Raised when a run's stepping partner process dies before the run ends."""
 
 
 @dataclass
@@ -259,11 +269,62 @@ _DIVERGED_LOSS_RATIO = 1000.0
 _GROUP = 8
 # Local steps whose minibatch indices a client draws in one call.
 _DRAW_CHUNK = 8
+# Local steps (K E) a run's rounds must carry to fork a stepping partner: a
+# pipe round trip costs 70-320 us and a client-step about 20 us, so from here
+# the exchange is under 1% of a round.  fleet-sweep (K E <= 160) never forks
+# one; not a setting.
+_SPLIT_STEPS = 1024
 
 
-def _local_models(model, dataset, ids, steps, lr, batch_size, seed, round_index):
-    """Every sampled client's local_sgd result, with the clients stepped
-    together: weights (K, C, d) and biases (K, C), in the order of `ids`.
+def _local_models(model, dataset, ids, steps, lr, batch_size, seed, round_index, partner=None):
+    """Every sampled client's local_sgd result: weights (K, C, d) and biases
+    (K, C), in the order of `ids`.
+
+    Given a _Partner, the clients split into two shares of near-equal cost
+    (_partner_share): the partner steps its share while this process steps
+    the other, and the partner's stacks are written at their positions.  A
+    client's floats depend only on the model and its own substream, so the
+    split moves no bit.  If either share fails, the round is stepped again
+    here in one share, so it raises the serial loop's first failure."""
+    job = (steps, lr, batch_size, seed, round_index)
+    if partner is None:
+        return _step_clients(model, dataset, ids, *job)
+    theirs = _partner_share(dataset.sizes[ids], batch_size)
+    partner.send(model, ids[theirs], job)
+    try:
+        own = _step_clients(model, dataset, ids[~theirs], *job)
+    except FloatingPointError:
+        own = None
+    other = partner.receive()
+    if own is None or other is None:
+        return _step_clients(model, dataset, ids, *job)
+    w = np.empty((ids.size,) + model.weights.shape)
+    b = np.empty((ids.size,) + model.bias.shape)
+    (w[~theirs], b[~theirs]), (w[theirs], b[theirs]) = own, other
+    return w, b
+
+
+def _partner_share(sizes, batch_size):
+    """The partner's share of a round's clients with these shard sizes, as a
+    mask: laid end to end, costliest first, the clients whose midpoint falls
+    in the first half of the round's cost, a client's cost being its rows per
+    step, min(n_k, batch_size).  The shares differ by at most one client's
+    cost, and two or more clients leave neither empty.  The cheapest clients,
+    those on the full-batch path, come last, so they stay together in the
+    run's share unless they cost more than half the round: a share split
+    across both paths would step an extra group each step."""
+    costs = np.minimum(sizes, batch_size)
+    order = np.argsort(-costs, kind="stable")
+    ends = np.cumsum(costs[order])
+    theirs = np.zeros(costs.size, dtype=bool)
+    theirs[order[2 * ends - costs[order] < ends[-1]]] = True
+    return theirs
+
+
+def _step_clients(model, dataset, ids, steps, lr, batch_size, seed, round_index):
+    """local_sgd's result for each client of `ids`, with the clients stepped
+    together in groups of at most _GROUP: weights (m, C, d) and biases
+    (m, C), in the order of `ids`.
 
     Each client's floats are those of local_sgd on its (seed, round, client)
     substream: every stacked product holds one client's rows in its own
@@ -342,13 +403,99 @@ def _full_batch_steps(w, b, dataset, ids, steps, lr):
         b -= lr * gb
 
 
+def _partner_loop(conn, run_end, dataset):
+    """A stepping partner's life: answer each (model, ids, job) received with
+    _step_clients' stacks, or None on a FloatingPointError, until the run
+    closes its end of the pipe."""
+    run_end.close()  # an open copy of the run's end here would never see EOF
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            while True:
+                model, ids, job = conn.recv()
+                try:
+                    reply = _step_clients(model, dataset, ids, *job)
+                except FloatingPointError:
+                    reply = None
+                conn.send(reply)
+        except (EOFError, OSError):  # the run has closed its end
+            pass
+
+
+class _Partner:
+    """A forked process that steps a share of each round's clients for one
+    run; it holds the dataset by inheritance."""
+
+    def __init__(self, context, dataset):
+        self.conn, theirs = context.Pipe()
+        self.process = context.Process(target=_partner_loop, args=(theirs, self.conn, dataset))
+        self.process.start()
+        theirs.close()
+
+    def send(self, model, ids, job):
+        try:
+            self.conn.send((model, ids, job))
+        except OSError:
+            self._lost()
+
+    def receive(self):
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            self._lost()
+
+    def _lost(self):
+        self.process.join()
+        raise PartnerError(
+            f"the stepping partner process exited with code {self.process.exitcode}"
+        ) from None
+
+    def close(self):
+        self.conn.close()
+        self.process.join()
+
+
+def _fork_cpus():
+    """(usable CPU count, fork context), or (1, None) without
+    os.sched_getaffinity or fork."""
+    import multiprocessing
+
+    try:
+        return len(os.sched_getaffinity(0)), multiprocessing.get_context("fork")
+    except (AttributeError, ValueError):
+        return 1, None
+
+
+def _stepping_partner(dataset, config):
+    """A _Partner for a run of two or more clients a round whose rounds carry
+    at least _SPLIT_STEPS local steps, where two CPUs are usable, fork exists,
+    no other thread is alive and this process may have children; else None.
+    In a train_all worker it also takes one of the call's idle CPUs, and
+    without one it returns None: a process beside busy workers would slow
+    them more than it helps."""
+    if config.k < 2 or config.k * config.e < _SPLIT_STEPS:
+        return None
+    import multiprocessing
+    import threading
+
+    cpus, context = _fork_cpus()
+    if cpus < 2 or threading.active_count() > 1 or multiprocessing.current_process().daemon:
+        return None
+    if _tasks and not _tasks[-1][2].acquire(False):  # without blocking
+        return None
+    return _Partner(context, dataset)
+
+
 def run_fedavg(dataset, profile, config):
     """Federated averaging with per-round cost accounting.
 
     Stops after max_rounds, or earlier once the post-aggregation global loss
     reaches target_loss; raises DivergenceError once a round's models or loss
-    overflow or turn invalid, or the loss passes _DIVERGED_LOSS_RATIO * ln(C).
-    Returns (final model, per-round traces).
+    overflow or turn invalid, or the loss passes _DIVERGED_LOSS_RATIO * ln(C),
+    and PartnerError if its stepping partner dies.  Until a partner starts,
+    each round first tries to start one (_stepping_partner): a run trained
+    alone starts it before round 0, a run in a train_all worker once a CPU
+    falls idle.  No process it forks outlives the call.  Returns (final
+    model, per-round traces).
     """
     n = dataset.n_clients
     if profile.n_clients != n:
@@ -365,45 +512,55 @@ def run_fedavg(dataset, profile, config):
     sample_rng = stream(config.seed, SAMPLING)
     scratch = _LossScratch(dataset)
     traces = []
-    for r in range(config.max_rounds):
-        ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
-        lr = config.eta0 / (1.0 + r)
-        try:
-            # an overflow raises here, before it can leave non-finite models
-            with np.errstate(over="raise", invalid="raise"):
-                w, b = _local_models(
-                    model, dataset, ids, config.e, lr, config.batch_size, config.seed, r
+    partner = None
+    try:
+        for r in range(config.max_rounds):
+            if partner is None:
+                partner = _stepping_partner(dataset, config)
+            ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
+            lr = config.eta0 / (1.0 + r)
+            try:
+                # an overflow raises here, before it can leave non-finite models
+                with np.errstate(over="raise", invalid="raise"):
+                    w, b = _local_models(
+                        model, dataset, ids, config.e, lr, config.batch_size, config.seed, r,
+                        partner,
+                    )
+                    model = aggregate(ids, w, b, dataset)
+                    loss = global_loss(model, dataset, scratch)
+            except FloatingPointError as exc:
+                raise DivergenceError(f"diverged at round {r}: {exc}") from None
+            if not loss <= loss_limit:  # also true of nan
+                raise DivergenceError(
+                    f"diverged at round {r}: global loss {loss:.6g}, limit {loss_limit:.6g}"
                 )
-                model = aggregate(ids, w, b, dataset)
-                loss = global_loss(model, dataset, scratch)
-        except FloatingPointError as exc:
-            raise DivergenceError(f"diverged at round {r}: {exc}") from None
-        if not loss <= loss_limit:  # also true of nan
-            raise DivergenceError(
-                f"diverged at round {r}: global loss {loss:.6g}, limit {loss_limit:.6g}"
-            )
 
-        comm_rng = stream(config.seed, COMM, r)
-        t_draw, e_draw = draw_round_costs(profile, ids, comm_rng)
-        energy = float(np.sum(profile.e_comp[ids] * config.e + e_draw))
-        traces.append(
-            RoundTrace(
-                loss=loss,
-                job=RoundJob(comp=profile.t_comp[ids] * config.e, comm=t_draw, client_ids=ids),
-                energy_j=energy,
+            comm_rng = stream(config.seed, COMM, r)
+            t_draw, e_draw = draw_round_costs(profile, ids, comm_rng)
+            energy = float(np.sum(profile.e_comp[ids] * config.e + e_draw))
+            traces.append(
+                RoundTrace(
+                    loss=loss,
+                    job=RoundJob(comp=profile.t_comp[ids] * config.e, comm=t_draw, client_ids=ids),
+                    energy_j=energy,
+                )
             )
-        )
-        if config.target_loss is not None and loss <= config.target_loss:
-            break
+            if config.target_loss is not None and loss <= config.target_loss:
+                break
+    finally:
+        if partner is not None:
+            partner.close()
     return model, traces
 
 
-# the (dataset, profile) of the running train_all call, inherited by its workers
+# the (dataset, profile, idle CPUs) of the running train_all call, inherited by
+# its workers
 _tasks = []
 
 
 def _traces(config):
-    return run_fedavg(*_tasks[-1], config)[1]
+    dataset, profile, _ = _tasks[-1]
+    return run_fedavg(dataset, profile, config)[1]
 
 
 def train_all(dataset, profile, configs):
@@ -413,25 +570,34 @@ def train_all(dataset, profile, configs):
 
     Runs are submitted heaviest first (largest K E), so the longest starts
     at once, and the first failure in input order is re-raised, as a loop
-    would raise it.  With one usable CPU, or without fork or a CPU affinity,
-    the runs go one after another in this process."""
+    would raise it.  Each run that ends with no run left to start leaves its
+    worker's CPU idle, and a run still going whose rounds carry at least
+    _SPLIT_STEPS local steps takes it for its stepping partner (see
+    run_fedavg), so the longest run is shared out once the others are done.
+    With one usable CPU, or without fork or a CPU affinity, the runs go one
+    after another in this process, each without a partner; a single run goes
+    in this process too.  The traces are the same bits either way."""
     n = len(configs)
-    try:
-        workers = min(n, len(os.sched_getaffinity(0)))
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-    except (AttributeError, ValueError):  # no sched_getaffinity, no fork
-        workers = 1
+    cpus, context = _fork_cpus()
+    workers = min(n, cpus)
     if workers < 2:
         return [run_fedavg(dataset, profile, c)[1] for c in configs]
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, mp_context=context)  # forks on the first submit
-    _tasks.append((dataset, profile))
+    idle = context.Semaphore(cpus - workers)
+    ended = itertools.count(1)
+
+    def free_the_cpu(future):
+        if n - next(ended) < workers:  # no run is left to start on this worker
+            idle.release()
+
+    _tasks.append((dataset, profile, idle))
     try:
         heaviest_first = sorted(range(n), key=lambda i: configs[i].k * configs[i].e, reverse=True)
         futures = {i: pool.submit(_traces, configs[i]) for i in heaviest_first}
+        for future in futures.values():
+            future.add_done_callback(free_the_cpu)
         return [futures[i].result() for i in range(n)]
     finally:
         pool.shutdown(cancel_futures=True)

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -487,6 +488,7 @@ def assert_engine_equals_per_client_loop(dataset, config):
         assert t.energy_j == energy
     assert np.array_equal(model.weights, want_model.weights)
     assert np.array_equal(model.bias, want_model.bias)
+    return model, traces, profile
 
 
 def mixed_dataset(sizes, n_features, n_classes, seed):
@@ -638,3 +640,182 @@ def test_train_all_runs_serially_without_affinity_or_fork(monkeypatch, missing):
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
     configs = runs(monkeypatch, lambda i: (i, os.getpid()), [(1, 1), (1, 2)])
     assert train_all(None, None, configs) == [(0, os.getpid()), (1, os.getpid())]
+
+
+def steppers(monkeypatch, tmp_path):
+    """Spy on learner._step_clients: returns a function that lists the ids
+    of the processes that stepped clients, this one and any partner, which
+    inherits the spy."""
+    log = tmp_path / "steppers.log"
+    step = learner._step_clients
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return step(*args)
+
+    monkeypatch.setattr(learner, "_step_clients", logged)
+    return lambda: set(log.read_text().split()) if log.exists() else set()
+
+
+def assert_same_run(a, b):
+    (model_a, traces_a), (model_b, traces_b) = a, b
+    if model_a is not None:
+        assert np.array_equal(model_a.weights, model_b.weights)
+        assert np.array_equal(model_a.bias, model_b.bias)
+    assert [(t.loss, t.energy_j) for t in traces_a] == [(t.loss, t.energy_j) for t in traces_b]
+    for t, u in zip(traces_a, traces_b):
+        assert np.array_equal(t.job.comp, u.job.comp) and np.array_equal(t.job.comm, u.job.comm)
+        assert np.array_equal(t.job.client_ids, u.job.client_ids)
+
+
+# odd K over MIXED_SIZES' full-batch and minibatch shards, with just enough
+# local steps a round for a partner
+SPLIT_K = 11
+SPLIT_E = -(-learner._SPLIT_STEPS // SPLIT_K)
+
+
+def test_split_rounds_equal_the_per_client_loop_and_one_cpu(monkeypatch, tmp_path):
+    pids = steppers(monkeypatch, tmp_path)
+    usable_cpus(monkeypatch, 2)
+    dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
+    config = TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, eta0=0.5, max_rounds=3, seed=3)
+    model, traces, profile = assert_engine_equals_per_client_loop(dataset, config)
+    assert len(pids()) == 2 and str(os.getpid()) in pids()  # a partner stepped a share
+    usable_cpus(monkeypatch, 1)
+    assert_same_run((model, traces), run_fedavg(dataset, profile, config))
+    assert len(pids()) == 2  # the one-CPU run stepped every client here
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=2, max_size=14),
+    n_features=st.integers(1, 6),
+    n_classes=st.integers(2, 5),
+    batch_size=st.integers(1, 12),
+    e=st.integers(1, 12),
+    data=st.data(),
+)
+def test_split_rounds_equal_the_per_client_loop_on_random_shapes(
+    sizes, n_features, n_classes, batch_size, e, data
+):
+    k = data.draw(st.integers(2, len(sizes)), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    dataset = mixed_dataset(sizes, n_features, n_classes, seed)
+    config = TrainConfig(k=k, e=e, batch_size=batch_size, eta0=0.3, max_rounds=2, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        usable_cpus(patch, 2)
+        patch.setattr(learner, "_SPLIT_STEPS", 1)  # every run here forks a partner
+        assert_engine_equals_per_client_loop(dataset, config)
+
+
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=100), st.integers(1, 100))
+def test_partner_share_balances_rows_per_step(sizes, batch_size):
+    sizes = np.array(sizes)
+    theirs = learner._partner_share(sizes, batch_size)
+    assert np.array_equal(theirs, learner._partner_share(sizes.copy(), batch_size))
+    costs = np.minimum(sizes, batch_size)
+    assert abs(costs[theirs].sum() - costs[~theirs].sum()) <= costs.max()
+    assert (~theirs).any() and (theirs.any() or sizes.size == 1)
+
+
+@pytest.mark.parametrize("share", ["run", "partner", "both"])
+def test_a_diverging_split_round_raises_the_serial_error(monkeypatch, tmp_path, share):
+    # all 12 clients train every round, so the partner's share is known; a
+    # client with huge features overflows from its second step, and a huge
+    # step size makes every client overflow
+    sizes = MIXED_SIZES
+    dataset = mixed_dataset(sizes, 5, 4, seed=11)
+    config = TrainConfig(k=len(sizes), e=-(-learner._SPLIT_STEPS // len(sizes)), batch_size=8,
+                         eta0=1e300 if share == "both" else 0.5, max_rounds=3, seed=3)
+    if share != "both":
+        theirs = learner._partner_share(dataset.sizes, config.batch_size)
+        poisoned = np.flatnonzero(theirs == (share == "partner"))[0]
+        start, size = dataset.offsets[poisoned], dataset.sizes[poisoned]
+        dataset.features[start:start + size] *= 1e300
+    profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
+    errors = []
+    pids = steppers(monkeypatch, tmp_path)
+    for cpus in (1, 2):
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(learner.DivergenceError) as raised:
+            run_fedavg(dataset, profile, config)
+        errors.append(str(raised.value))
+    assert len(pids()) == 2
+    assert errors[0] == errors[1] and errors[0].startswith("diverged at round ")
+
+
+def test_a_partner_that_dies_is_one_named_error(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+    run = os.getpid()
+    step = learner._step_clients
+
+    def dies_in_round_1(model, dataset, ids, steps, lr, batch_size, seed, round_index):
+        if os.getpid() != run and round_index == 1:
+            os._exit(3)
+        return step(model, dataset, ids, steps, lr, batch_size, seed, round_index)
+
+    monkeypatch.setattr(learner, "_step_clients", dies_in_round_1)
+    dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
+    profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
+    config = TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, eta0=0.5, max_rounds=3, seed=3)
+    with pytest.raises(learner.PartnerError, match="^the stepping partner process exited "
+                                                   "with code 3$"):
+        run_fedavg(dataset, profile, config)
+
+
+@pytest.mark.parametrize(
+    "case", ["fleet-sweep point", "one cpu", "a thread alive", "no idle cpu in a worker"]
+)
+def test_runs_that_start_no_partner(monkeypatch, case):
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda process: started.append(process) or start(process))
+    usable_cpus(monkeypatch, 1 if case == "one cpu" else 2)
+    if case == "fleet-sweep point":  # fleet-sweep's heaviest point, K E = 160
+        dataset = mixed_dataset([30] * 80, 5, 4, seed=11)
+        config = TrainConfig(k=80, e=2, batch_size=8, max_rounds=2)
+    else:
+        dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
+        config = TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, max_rounds=2)
+    if case == "no idle cpu in a worker":  # as in a train_all worker beside busy ones
+        monkeypatch.setattr(learner, "_tasks", [(None, None, threading.Semaphore(0))])
+    profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if case == "a thread alive":
+        thread.start()
+    try:
+        run_fedavg(dataset, profile, config)
+    finally:
+        release.set()
+    if case == "a thread alive":
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert started == []
+
+
+def test_train_all_gives_the_last_run_a_partner_once_a_cpu_is_idle(monkeypatch, tmp_path):
+    pids = steppers(monkeypatch, tmp_path)
+    step = learner._step_clients
+    pause = time.sleep
+
+    def slow_round_1(model, dataset, ids, steps, lr, batch_size, seed, round_index):
+        if round_index == 1 and ids.size > 2:  # the light run ends meanwhile
+            pause(0.5)
+        return step(model, dataset, ids, steps, lr, batch_size, seed, round_index)
+
+    monkeypatch.setattr(learner, "_step_clients", slow_round_1)
+    dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
+    profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
+    configs = [TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, eta0=0.5, max_rounds=4, seed=3),
+               TrainConfig(k=2, e=1, batch_size=8, max_rounds=1, seed=4)]
+    usable_cpus(monkeypatch, 1)
+    serial = train_all(dataset, profile, configs)
+    assert pids() == {str(os.getpid())}
+    usable_cpus(monkeypatch, 2)
+    for got, want in zip(train_all(dataset, profile, configs), serial):
+        assert_same_run((None, got), (None, want))
+    # this process, the two workers and the heavy run's partner
+    assert len(pids()) == 4
