@@ -21,7 +21,8 @@ carry at least _SPLIT_STEPS local steps (K E) forks one stepping partner once
 a CPU is free for it (see run_fedavg).  Each round the partner steps about
 half of the sampled clients while the run steps the rest, and aggregation,
 scoring and the cost draws stay in the run.  A run has at most one partner,
-and every trace and model is the same bits at any CPU count.
+and every trace and model is the same bits at any CPU count.  Workers and
+partners are forked pools from one helper, _pool, and inherit the dataset.
 """
 
 import itertools
@@ -40,10 +41,6 @@ from .system import draw_round_costs
 class DivergenceError(RuntimeError):
     """Raised when a round's arithmetic overflows or turns invalid, or its
     global loss passes _DIVERGED_LOSS_RATIO times the zero model's loss."""
-
-
-class PartnerError(RuntimeError):
-    """Raised when a run's stepping partner process dies before the run ends."""
 
 
 @dataclass
@@ -270,9 +267,9 @@ _GROUP = 8
 # Local steps whose minibatch indices a client draws in one call.
 _DRAW_CHUNK = 8
 # Local steps (K E) a run's rounds must carry to fork a stepping partner: a
-# pipe round trip costs 70-320 us and a client-step about 20 us, so from here
-# the exchange is under 1% of a round.  fleet-sweep (K E <= 160) never forks
-# one; not a setting.
+# submit to the partner and its result take 0.5 ms on a 2-vCPU host and a
+# client-step about 20 us, so from here the exchange is under 2.5% of a
+# round.  fleet-sweep (K E <= 160) never forks one; not a setting.
 _SPLIT_STEPS = 1024
 
 
@@ -280,7 +277,7 @@ def _local_models(model, dataset, ids, steps, lr, batch_size, seed, round_index,
     """Every sampled client's local_sgd result: weights (K, C, d) and biases
     (K, C), in the order of `ids`.
 
-    Given a _Partner, the clients split into two shares of near-equal cost
+    Given a partner, the clients split into two shares of near-equal cost
     (_partner_share): the partner steps its share while this process steps
     the other, and the partner's stacks are written at their positions.  A
     client's floats depend only on the model and its own substream, so the
@@ -290,12 +287,12 @@ def _local_models(model, dataset, ids, steps, lr, batch_size, seed, round_index,
     if partner is None:
         return _step_clients(model, dataset, ids, *job)
     theirs = _partner_share(dataset.sizes[ids], batch_size)
-    partner.send(model, ids[theirs], job)
+    future = partner.submit(_step_share, model, ids[theirs], job)
     try:
         own = _step_clients(model, dataset, ids[~theirs], *job)
     except FloatingPointError:
         own = None
-    other = partner.receive()
+    other = future.result()
     if own is None or other is None:
         return _step_clients(model, dataset, ids, *job)
     w = np.empty((ids.size,) + model.weights.shape)
@@ -403,55 +400,19 @@ def _full_batch_steps(w, b, dataset, ids, steps, lr):
         b -= lr * gb
 
 
-def _partner_loop(conn, run_end, dataset):
-    """A stepping partner's life: answer each (model, ids, job) received with
-    _step_clients' stacks, or None on a FloatingPointError, until the run
-    closes its end of the pipe."""
-    run_end.close()  # an open copy of the run's end here would never see EOF
+def _step_share(model, ids, job):
+    """A stepping partner's share of a round: _step_clients' stacks for `ids`
+    over the dataset it inherited, or None on a FloatingPointError."""
     with np.errstate(over="raise", invalid="raise"):
         try:
-            while True:
-                model, ids, job = conn.recv()
-                try:
-                    reply = _step_clients(model, dataset, ids, *job)
-                except FloatingPointError:
-                    reply = None
-                conn.send(reply)
-        except (EOFError, OSError):  # the run has closed its end
-            pass
+            return _step_clients(model, _tasks[-1][0], ids, *job)
+        except FloatingPointError:
+            return None
 
 
-class _Partner:
-    """A forked process that steps a share of each round's clients for one
-    run; it holds the dataset by inheritance."""
-
-    def __init__(self, context, dataset):
-        self.conn, theirs = context.Pipe()
-        self.process = context.Process(target=_partner_loop, args=(theirs, self.conn, dataset))
-        self.process.start()
-        theirs.close()
-
-    def send(self, model, ids, job):
-        try:
-            self.conn.send((model, ids, job))
-        except OSError:
-            self._lost()
-
-    def receive(self):
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError):
-            self._lost()
-
-    def _lost(self):
-        self.process.join()
-        raise PartnerError(
-            f"the stepping partner process exited with code {self.process.exitcode}"
-        ) from None
-
-    def close(self):
-        self.conn.close()
-        self.process.join()
+# in a forked pool worker, at [-1], what its pool holds for it: (dataset,
+# profile, idle CPUs), with None for a partner's idle CPUs; empty elsewhere
+_tasks = []
 
 
 def _fork_cpus():
@@ -465,10 +426,21 @@ def _fork_cpus():
         return 1, None
 
 
-def _stepping_partner(dataset, config):
-    """A _Partner for a run of two or more clients a round whose rounds carry
-    at least _SPLIT_STEPS local steps, where two CPUs are usable, fork exists,
-    no other thread is alive and this process may have children; else None.
+def _pool(context, workers, held):
+    """A pool of `workers` processes, forked on the first submit before any
+    thread starts, each finding `held` at _tasks[-1], inherited, not pickled."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_tasks.append, initargs=(held,)
+    )
+
+
+def _stepping_partner(dataset, profile, config):
+    """A one-worker pool for _step_share, for a run of two or more clients a
+    round whose rounds carry at least _SPLIT_STEPS local steps, where two
+    CPUs are usable, fork exists, no other thread is alive and this process
+    may have children; else None.
     In a train_all worker it also takes one of the call's idle CPUs, and
     without one it returns None: a process beside busy workers would slow
     them more than it helps."""
@@ -482,7 +454,7 @@ def _stepping_partner(dataset, config):
         return None
     if _tasks and not _tasks[-1][2].acquire(False):  # without blocking
         return None
-    return _Partner(context, dataset)
+    return _pool(context, 1, (dataset, profile, None))
 
 
 def run_fedavg(dataset, profile, config):
@@ -491,11 +463,12 @@ def run_fedavg(dataset, profile, config):
     Stops after max_rounds, or earlier once the post-aggregation global loss
     reaches target_loss; raises DivergenceError once a round's models or loss
     overflow or turn invalid, or the loss passes _DIVERGED_LOSS_RATIO * ln(C),
-    and PartnerError if its stepping partner dies.  Until a partner starts,
-    each round first tries to start one (_stepping_partner): a run trained
-    alone starts it before round 0, a run in a train_all worker once a CPU
-    falls idle.  No process it forks outlives the call.  Returns (final
-    model, per-round traces).
+    and BrokenProcessPool (a RuntimeError) if its stepping partner dies.
+    Until a partner starts, each round first tries to start one
+    (_stepping_partner): a run trained alone starts it before round 0, a run
+    in a train_all worker once a CPU falls idle, and that CPU is returned
+    when the run ends.  No process or thread it starts outlives the call.
+    Returns (final model, per-round traces).
     """
     n = dataset.n_clients
     if profile.n_clients != n:
@@ -516,7 +489,7 @@ def run_fedavg(dataset, profile, config):
     try:
         for r in range(config.max_rounds):
             if partner is None:
-                partner = _stepping_partner(dataset, config)
+                partner = _stepping_partner(dataset, profile, config)
             ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
             lr = config.eta0 / (1.0 + r)
             try:
@@ -549,13 +522,10 @@ def run_fedavg(dataset, profile, config):
                 break
     finally:
         if partner is not None:
-            partner.close()
+            partner.shutdown()
+            if _tasks:  # in a train_all worker: the partner's CPU is idle again
+                _tasks[-1][2].release()
     return model, traces
-
-
-# the (dataset, profile, idle CPUs) of the running train_all call, inherited by
-# its workers
-_tasks = []
 
 
 def _traces(config):
@@ -576,23 +546,21 @@ def train_all(dataset, profile, configs):
     run_fedavg), so the longest run is shared out once the others are done.
     With one usable CPU, or without fork or a CPU affinity, the runs go one
     after another in this process, each without a partner; a single run goes
-    in this process too.  The traces are the same bits either way."""
+    in this process too.  The traces are the same bits either way, and a
+    worker that dies raises BrokenProcessPool."""
     n = len(configs)
     cpus, context = _fork_cpus()
     workers = min(n, cpus)
     if workers < 2:
         return [run_fedavg(dataset, profile, c)[1] for c in configs]
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=context)  # forks on the first submit
     idle = context.Semaphore(cpus - workers)
+    pool = _pool(context, workers, (dataset, profile, idle))
     ended = itertools.count(1)
 
     def free_the_cpu(future):
         if n - next(ended) < workers:  # no run is left to start on this worker
             idle.release()
 
-    _tasks.append((dataset, profile, idle))
     try:
         heaviest_first = sorted(range(n), key=lambda i: configs[i].k * configs[i].e, reverse=True)
         futures = {i: pool.submit(_traces, configs[i]) for i in heaviest_first}
@@ -601,7 +569,6 @@ def train_all(dataset, profile, configs):
         return [futures[i].result() for i in range(n)]
     finally:
         pool.shutdown(cancel_futures=True)
-        _tasks.pop()
 
 
 def export_traces(traces, path, strategy):

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from fedcost.system import AveragedCosts, sample_profile
 def no_worker_outlives_its_test():
     yield
     assert multiprocessing.active_children() == [], "a worker process outlived the test"
+    # a thread left alive would stop every later run from forking a partner
+    assert threading.active_count() == 1, "a thread outlived the test"
 
 
 @pytest.fixture(scope="session")

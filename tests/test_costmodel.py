@@ -20,7 +20,9 @@ from fedcost.costmodel import (
     rounds_needed,
     sampling_penalty,
 )
-from fedcost.system import AveragedCosts, SystemProfile
+from fedcost.scheduler import RoundJob, Strategy, round_time
+from fedcost.seeding import stream
+from fedcost.system import AveragedCosts, SystemProfile, draw_round_costs, sample_profile
 
 
 def costs_with(gamma, n=100, t_p=0.5, t_m=0.2, e_p=0.01, e_m=0.02):
@@ -90,6 +92,26 @@ def test_expected_time_exact_monte_carlo():
         samples = t[picks].min(axis=1) * e + p.comm_time_mean[picks].sum(axis=1)
         se = samples.std(ddof=1) / math.sqrt(draws)
         assert abs(expected_time_exact(k, e, r, p) - samples.mean()) < 3 * se
+
+
+@pytest.mark.parametrize("k, e", [(1, 100), (5, 100), (20, 20), (20, 100)])
+def test_exact_time_prices_the_simulated_round_of_a_communication_bound_fleet(k, e):
+    # the desk fleet with uploads of ~40 local steps, where the optimal-ts
+    # round is the chain expected_time_exact prices: fastest computation
+    # plus every upload
+    profile = sample_profile(20, t_p_mean=0.05, t_p_std=0.015, e_p_mean=0.01, t_m_mean=2.0,
+                             e_m_mean=0.02, jitter=0.1, seed=1)
+    rng = stream(5)
+    rounds = []
+    for _ in range(2000):
+        ids = np.sort(rng.choice(20, size=k, replace=False))
+        comm, _ = draw_round_costs(profile, ids, rng)
+        job = RoundJob(comp=profile.t_comp[ids] * e, comm=comm, client_ids=ids)
+        rounds.append(round_time(job, Strategy.OPTIMAL_TS))
+    exact = expected_time_exact(k, e, 1, profile)
+    se = np.std(rounds, ddof=1) / math.sqrt(len(rounds))
+    assert se < 0.005 * exact  # well inside the bound
+    assert np.mean(rounds) == pytest.approx(exact, rel=0.02)
 
 
 def test_expected_time_approx_example():

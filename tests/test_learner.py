@@ -759,8 +759,7 @@ def test_a_partner_that_dies_is_one_named_error(monkeypatch):
     dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
     profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
     config = TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, eta0=0.5, max_rounds=3, seed=3)
-    with pytest.raises(learner.PartnerError, match="^the stepping partner process exited "
-                                                   "with code 3$"):
+    with pytest.raises(BrokenProcessPool):  # as a dead train_all worker raises
         run_fedavg(dataset, profile, config)
 
 
@@ -819,3 +818,33 @@ def test_train_all_gives_the_last_run_a_partner_once_a_cpu_is_idle(monkeypatch, 
         assert_same_run((None, got), (None, want))
     # this process, the two workers and the heavy run's partner
     assert len(pids()) == 4
+
+
+def test_a_partner_returns_its_cpu_when_its_run_ends(monkeypatch, tmp_path):
+    pids = steppers(monkeypatch, tmp_path)
+    usable_cpus(monkeypatch, 2)
+    idle = threading.Semaphore(1)
+    monkeypatch.setattr(learner, "_tasks", [(None, None, idle)])  # as in a train_all worker
+    dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
+    profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
+    run_fedavg(dataset, profile, TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, max_rounds=2))
+    assert len(pids()) == 2  # a partner took the idle CPU
+    assert idle.acquire(False)
+
+
+def test_no_layer_pickles_the_dataset(monkeypatch, tmp_path):
+    # workers and partners inherit it; a pickled dataset per round or run
+    # would be a silent slowdown
+    def refuse(dataset, protocol):
+        raise AssertionError("the dataset was pickled")
+
+    monkeypatch.setattr(FederatedDataset, "__reduce_ex__", refuse)
+    pids = steppers(monkeypatch, tmp_path)
+    usable_cpus(monkeypatch, 2)
+    dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
+    profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
+    heavy = TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, max_rounds=2, seed=3)
+    run_fedavg(dataset, profile, heavy)
+    assert len(pids()) == 2  # the run split its rounds with a partner
+    train_all(dataset, profile, [heavy, TrainConfig(k=2, e=1, batch_size=8, max_rounds=1)])
+    assert len(pids()) >= 4  # and train_all forked two workers
