@@ -18,11 +18,10 @@ and finite-difference checkable.  All client randomness is pre-keyed on
 (seed, round, client), so traces are independent of execution order: train_all
 fans independent runs out to forked worker processes, and a run whose rounds
 carry at least _SPLIT_STEPS local steps (K E) forks one stepping partner once
-a CPU is free for it (see run_fedavg).  Each round the partner steps about
-half of the sampled clients while the run steps the rest, and aggregation,
-scoring and the cost draws stay in the run.  A run has at most one partner,
-and every trace and model is the same bits at any CPU count.  Workers and
-partners are forked pools from one helper, _pool, and inherit the dataset.
+a CPU is free for it, which steps about half of each round's clients (see
+run_fedavg).  Both are pools from _pool that inherit the dataset, forked only
+where _fork_context allows, and every trace and model is the same bits at
+any CPU count.
 """
 
 import itertools
@@ -273,34 +272,6 @@ _DRAW_CHUNK = 8
 _SPLIT_STEPS = 1024
 
 
-def _local_models(model, dataset, ids, steps, lr, batch_size, seed, round_index, partner=None):
-    """Every sampled client's local_sgd result: weights (K, C, d) and biases
-    (K, C), in the order of `ids`.
-
-    Given a partner, the clients split into two shares of near-equal cost
-    (_partner_share): the partner steps its share while this process steps
-    the other, and the partner's stacks are written at their positions.  A
-    client's floats depend only on the model and its own substream, so the
-    split moves no bit.  If either share fails, the round is stepped again
-    here in one share, so it raises the serial loop's first failure."""
-    job = (steps, lr, batch_size, seed, round_index)
-    if partner is None:
-        return _step_clients(model, dataset, ids, *job)
-    theirs = _partner_share(dataset.sizes[ids], batch_size)
-    future = partner.submit(_step_share, model, ids[theirs], job)
-    try:
-        own = _step_clients(model, dataset, ids[~theirs], *job)
-    except FloatingPointError:
-        own = None
-    other = future.result()
-    if own is None or other is None:
-        return _step_clients(model, dataset, ids, *job)
-    w = np.empty((ids.size,) + model.weights.shape)
-    b = np.empty((ids.size,) + model.bias.shape)
-    (w[~theirs], b[~theirs]), (w[theirs], b[theirs]) = own, other
-    return w, b
-
-
 def _partner_share(sizes, batch_size):
     """The partner's share of a round's clients with these shard sizes, as a
     mask: laid end to end, costliest first, the clients whose midpoint falls
@@ -318,14 +289,33 @@ def _partner_share(sizes, batch_size):
     return theirs
 
 
-def _step_clients(model, dataset, ids, steps, lr, batch_size, seed, round_index):
-    """local_sgd's result for each client of `ids`, with the clients stepped
-    together in groups of at most _GROUP: weights (m, C, d) and biases
-    (m, C), in the order of `ids`.
+def _step_clients(model, dataset, ids, config, r, partner=None):
+    """local_sgd's result for each client of `ids` in round r of a run under
+    `config`, stepped together in groups of at most _GROUP: weights (m, C, d)
+    and biases (m, C), in the order of `ids`, each client's floats those of
+    local_sgd on its (seed, round, client) substream.  Given a partner, it
+    steps one of two shares of near-equal cost (_partner_share) while this
+    process steps the other, which moves no bit; if either fails, the round
+    is stepped again here, so it raises the serial loop's first failure."""
+    if partner is not None:
+        from concurrent.futures.process import BrokenProcessPool
 
-    Each client's floats are those of local_sgd on its (seed, round, client)
-    substream: every stacked product holds one client's rows in its own
-    slice, and the element-wise steps are local_sgd's."""
+        theirs = _partner_share(dataset.sizes[ids], config.batch_size)
+        try:
+            future = partner.submit(_step_share, model, ids[theirs], config, r)
+            own = _step_clients(model, dataset, ids[~theirs], config, r)
+            other = future.result()
+        except FloatingPointError:
+            return _step_clients(model, dataset, ids, config, r)
+        except BrokenProcessPool:
+            raise BrokenProcessPool(
+                f"the stepping partner of the K={config.k}, E={config.e} run died in round {r}"
+            ) from None
+        w = np.empty((ids.size,) + model.weights.shape)
+        b = np.empty((ids.size,) + model.bias.shape)
+        (w[~theirs], b[~theirs]), (w[theirs], b[theirs]) = own, other
+        return w, b
+    steps, lr, batch_size = config.e, config.eta0 / (1.0 + r), config.batch_size
     w = np.empty((ids.size,) + model.weights.shape)
     b = np.empty((ids.size,) + model.bias.shape)
     full = dataset.sizes[ids] <= batch_size
@@ -338,7 +328,7 @@ def _step_clients(model, dataset, ids, steps, lr, batch_size, seed, round_index)
             if is_full:
                 _full_batch_steps(gw, gb, dataset, ids[group], steps, lr)
             else:
-                rngs = [stream(seed, SGD, round_index, cid) for cid in ids[group].tolist()]
+                rngs = [stream(config.seed, SGD, r, cid) for cid in ids[group].tolist()]
                 _minibatch_steps(gw, gb, dataset, ids[group], steps, lr, batch_size, rngs)
             w[group], b[group] = gw, gb
     return w, b
@@ -400,26 +390,28 @@ def _full_batch_steps(w, b, dataset, ids, steps, lr):
         b -= lr * gb
 
 
-def _step_share(model, ids, job):
-    """A stepping partner's share of a round: _step_clients' stacks for `ids`
-    over the dataset it inherited, or None on a FloatingPointError."""
+def _step_share(model, ids, config, r):
+    """A stepping partner's share of round r: _step_clients' stacks for `ids`
+    over the dataset it inherited.  It steps under the run's errstate, so a
+    FloatingPointError comes back through the future."""
     with np.errstate(over="raise", invalid="raise"):
-        try:
-            return _step_clients(model, _tasks[-1][0], ids, *job)
-        except FloatingPointError:
-            return None
+        return _step_clients(model, _tasks[-1][0], ids, config, r)
 
 
 # in a forked pool worker, at [-1], what its pool holds for it: (dataset,
-# profile, idle CPUs), with None for a partner's idle CPUs; empty elsewhere
+# profile, idle CPUs), with None for a partner's last two; empty elsewhere
 _tasks = []
 
 
-def _fork_cpus():
-    """(usable CPU count, fork context), or (1, None) without
-    os.sched_getaffinity or fork."""
+def _fork_context():
+    """(usable CPU count, fork context) where this process may fork: it has
+    os.sched_getaffinity and fork, no other thread is alive (a fork beside
+    one can deadlock the child) and it is not daemonic; else (1, None)."""
     import multiprocessing
+    import threading
 
+    if threading.active_count() > 1 or multiprocessing.current_process().daemon:
+        return 1, None
     try:
         return len(os.sched_getaffinity(0)), multiprocessing.get_context("fork")
     except (AttributeError, ValueError):
@@ -436,25 +428,19 @@ def _pool(context, workers, held):
     )
 
 
-def _stepping_partner(dataset, profile, config):
+def _stepping_partner(dataset, config):
     """A one-worker pool for _step_share, for a run of two or more clients a
-    round whose rounds carry at least _SPLIT_STEPS local steps, where two
-    CPUs are usable, fork exists, no other thread is alive and this process
-    may have children; else None.
+    round whose rounds carry at least _SPLIT_STEPS local steps, where this
+    process may fork onto two usable CPUs (_fork_context); else None.
     In a train_all worker it also takes one of the call's idle CPUs, and
     without one it returns None: a process beside busy workers would slow
     them more than it helps."""
     if config.k < 2 or config.k * config.e < _SPLIT_STEPS:
         return None
-    import multiprocessing
-    import threading
-
-    cpus, context = _fork_cpus()
-    if cpus < 2 or threading.active_count() > 1 or multiprocessing.current_process().daemon:
+    cpus, context = _fork_context()
+    if cpus < 2 or (_tasks and not _tasks[-1][2].acquire(False)):  # without blocking
         return None
-    if _tasks and not _tasks[-1][2].acquire(False):  # without blocking
-        return None
-    return _pool(context, 1, (dataset, profile, None))
+    return _pool(context, 1, (dataset, None, None))
 
 
 def run_fedavg(dataset, profile, config):
@@ -463,12 +449,12 @@ def run_fedavg(dataset, profile, config):
     Stops after max_rounds, or earlier once the post-aggregation global loss
     reaches target_loss; raises DivergenceError once a round's models or loss
     overflow or turn invalid, or the loss passes _DIVERGED_LOSS_RATIO * ln(C),
-    and BrokenProcessPool (a RuntimeError) if its stepping partner dies.
-    Until a partner starts, each round first tries to start one
-    (_stepping_partner): a run trained alone starts it before round 0, a run
-    in a train_all worker once a CPU falls idle, and that CPU is returned
-    when the run ends.  No process or thread it starts outlives the call.
-    Returns (final model, per-round traces).
+    and BrokenProcessPool (a RuntimeError) naming the run and the round if its
+    stepping partner dies.  Until a partner starts, each round first tries to
+    start one (_stepping_partner): a run trained alone starts it before round
+    0, a run in a train_all worker once a CPU falls idle, and that CPU is
+    returned when the run ends.  No process or thread it starts outlives the
+    call.  Returns (final model, per-round traces).
     """
     n = dataset.n_clients
     if profile.n_clients != n:
@@ -489,16 +475,12 @@ def run_fedavg(dataset, profile, config):
     try:
         for r in range(config.max_rounds):
             if partner is None:
-                partner = _stepping_partner(dataset, profile, config)
+                partner = _stepping_partner(dataset, config)
             ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
-            lr = config.eta0 / (1.0 + r)
             try:
                 # an overflow raises here, before it can leave non-finite models
                 with np.errstate(over="raise", invalid="raise"):
-                    w, b = _local_models(
-                        model, dataset, ids, config.e, lr, config.batch_size, config.seed, r,
-                        partner,
-                    )
+                    w, b = _step_clients(model, dataset, ids, config, r, partner)
                     model = aggregate(ids, w, b, dataset)
                     loss = global_loss(model, dataset, scratch)
             except FloatingPointError as exc:
@@ -544,12 +526,12 @@ def train_all(dataset, profile, configs):
     worker's CPU idle, and a run still going whose rounds carry at least
     _SPLIT_STEPS local steps takes it for its stepping partner (see
     run_fedavg), so the longest run is shared out once the others are done.
-    With one usable CPU, or without fork or a CPU affinity, the runs go one
-    after another in this process, each without a partner; a single run goes
-    in this process too.  The traces are the same bits either way, and a
-    worker that dies raises BrokenProcessPool."""
+    With one usable CPU, or where this process may not fork (_fork_context),
+    the runs go one after another here, each without a partner; a single run
+    goes here too.  The traces are the same bits either way, and a worker
+    that dies raises BrokenProcessPool."""
     n = len(configs)
-    cpus, context = _fork_cpus()
+    cpus, context = _fork_context()
     workers = min(n, cpus)
     if workers < 2:
         return [run_fedavg(dataset, profile, c)[1] for c in configs]

@@ -14,6 +14,7 @@ training at a few (K, E) pairs until two preset loss levels are crossed; the
 ratio of the E-scaled round-count gaps between two pilots pins rho.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -242,18 +243,15 @@ def rho_from_pilots(records, n_clients):
         x = float(sampling_penalty(rec.k, n_clients)) * rec.e**2
         scaled.append((gap, x))
     estimates = []
-    for i in range(len(scaled)):
-        for j in range(i + 1, len(scaled)):
-            gi, xi = scaled[i]
-            gj, xj = scaled[j]
-            if gi <= 0 or gj <= 0:
-                continue
-            r = gi / gj
-            if abs(1.0 - r) < _MIN_RATIO_GAP:
-                continue
-            rho = (r * xj - xi) / (1.0 - r)
-            if rho > 0:
-                estimates.append(rho)
+    for (gi, xi), (gj, xj) in itertools.combinations(scaled, 2):
+        if gi <= 0 or gj <= 0:
+            continue
+        r = gi / gj
+        if abs(1.0 - r) < _MIN_RATIO_GAP:
+            continue
+        rho = (r * xj - xi) / (1.0 - r)
+        if rho > 0:
+            estimates.append(rho)
     if not estimates:
         raise EstimationError(
             "every pilot pair was discarded; re-plan with a wider (K, E) spread"

@@ -788,13 +788,25 @@ def test_unallocatable_dataset_is_one_error_line(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def readme_config_defaults():
-    """key -> default cell of README's config table."""
+def readme_config_rows():
+    """(key, default cell) of each row of README's config table."""
     path = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(path) as fh:
         table = fh.read().split("## Config format", 1)[1].split("\n## ", 1)[0]
     cells = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
-    return {key.strip().strip("`"): default.strip().strip("`") for key, default in cells}
+    return [(key.strip().strip("`"), default.strip().strip("`")) for key, default in cells]
+
+
+def readme_config_defaults():
+    """key -> default cell of README's config table."""
+    return dict(readme_config_rows())
+
+
+def test_readme_config_table_lists_each_key_once():
+    # README says all defaults live in that one table; test_defaults_agree
+    # checks each default cell against SCHEMA
+    keys = [key for key, _ in readme_config_rows()]
+    assert sorted(keys) == sorted(SCHEMA)
 
 
 def test_defaults_agree(tmp_path):

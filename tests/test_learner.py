@@ -627,19 +627,49 @@ def test_train_all_raises_when_a_worker_dies(monkeypatch):
         train_all(None, None, configs)
 
 
-@pytest.mark.parametrize("missing", ["affinity", "fork"])
-def test_train_all_runs_serially_without_affinity_or_fork(monkeypatch, missing):
-    if missing == "affinity":
+@pytest.mark.parametrize("case", ["affinity", "fork", "a thread alive", "a daemonic process"])
+def test_train_all_runs_serially_without_affinity_or_fork(monkeypatch, case):
+    # also where this process may not fork: beside a live thread, or daemonic
+    if case == "affinity":
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         usable_cpus(monkeypatch, 2)
+    configs = runs(monkeypatch, lambda i: (i, os.getpid()), [(1, 1), (1, 2)])
+    if case == "a daemonic process":
+        context = multiprocessing.get_context("fork")
+        received, sent = context.Pipe(duplex=False)
+
+        def train():
+            try:
+                sent.send((train_all(None, None, configs), os.getpid()))
+            except Exception as exc:  # the parent sees what it raised
+                sent.send((repr(exc), os.getpid()))
+
+        process = context.Process(target=train, daemon=True)
+        process.start()
+        assert received.poll(60)
+        got, pid = received.recv()
+        process.join()
+        assert got == [(0, pid), (1, pid)]
+        return
+    if case == "fork":
 
         def get_context(method):
             raise ValueError(f"cannot find context for {method!r}")
 
         monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    configs = runs(monkeypatch, lambda i: (i, os.getpid()), [(1, 1), (1, 2)])
-    assert train_all(None, None, configs) == [(0, os.getpid()), (1, os.getpid())]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if case == "a thread alive":
+        thread.start()
+    try:
+        got = train_all(None, None, configs)
+    finally:
+        release.set()
+    if case == "a thread alive":
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert got == [(0, os.getpid()), (1, os.getpid())]
 
 
 def steppers(monkeypatch, tmp_path):
@@ -750,16 +780,19 @@ def test_a_partner_that_dies_is_one_named_error(monkeypatch):
     run = os.getpid()
     step = learner._step_clients
 
-    def dies_in_round_1(model, dataset, ids, steps, lr, batch_size, seed, round_index):
-        if os.getpid() != run and round_index == 1:
+    def dies_in_round_1(model, dataset, ids, config, r, partner=None):
+        if os.getpid() != run and r == 1:
             os._exit(3)
-        return step(model, dataset, ids, steps, lr, batch_size, seed, round_index)
+        return step(model, dataset, ids, config, r, partner)
 
     monkeypatch.setattr(learner, "_step_clients", dies_in_round_1)
     dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
     profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
     config = TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, eta0=0.5, max_rounds=3, seed=3)
-    with pytest.raises(BrokenProcessPool):  # as a dead train_all worker raises
+    with pytest.raises(  # as a dead train_all worker raises
+        BrokenProcessPool, match=f"^the stepping partner of the K={SPLIT_K}, E={SPLIT_E} run "
+                                 "died in round 1$"
+    ):
         run_fedavg(dataset, profile, config)
 
 
@@ -800,10 +833,10 @@ def test_train_all_gives_the_last_run_a_partner_once_a_cpu_is_idle(monkeypatch, 
     step = learner._step_clients
     pause = time.sleep
 
-    def slow_round_1(model, dataset, ids, steps, lr, batch_size, seed, round_index):
-        if round_index == 1 and ids.size > 2:  # the light run ends meanwhile
+    def slow_round_1(model, dataset, ids, config, r, partner=None):
+        if r == 1 and ids.size > 2:  # the light run ends meanwhile
             pause(0.5)
-        return step(model, dataset, ids, steps, lr, batch_size, seed, round_index)
+        return step(model, dataset, ids, config, r, partner)
 
     monkeypatch.setattr(learner, "_step_clients", slow_round_1)
     dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
