@@ -166,9 +166,10 @@ def partition_by_label(features, labels, n_clients, labels_per_client, samples_p
     samples each.  uint8 features are pixels, as load_idx returns them: only
     the taken rows are scaled to [0, 1].
 
-    Labels are assigned to clients in a cyclic block pattern; the per-label
-    quota is balanced (samples_per_client split as evenly as the label count
-    allows).  No sample is assigned twice.
+    Client c's t-th label is pool label (c L + t) mod P, of which it takes
+    base + (t < rem) rows, where (base, rem) = divmod(samples_per_client, L):
+    a cyclic block pattern with balanced per-label quotas.  No sample is
+    assigned twice.
     """
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
@@ -182,39 +183,32 @@ def partition_by_label(features, labels, n_clients, labels_per_client, samples_p
     if labels.size == 0:
         raise PartitionError("empty sample pool")
 
-    pool_labels = np.unique(labels).tolist()
-    if len(pool_labels) < labels_per_client:
+    pool_labels, counts = np.unique(labels, return_counts=True)
+    n_pool = pool_labels.size
+    if n_pool < labels_per_client:
         raise PartitionError(
-            f"pool holds {len(pool_labels)} distinct labels, request needs {labels_per_client}"
+            f"pool holds {n_pool} distinct labels, request needs {labels_per_client}"
         )
-    by_label = {lab: np.flatnonzero(labels == lab) for lab in pool_labels}
-
+    # slot j = c L + t; the demand is summed in Python ints
     base, rem = divmod(samples_per_client, labels_per_client)
-    assignments = []  # per client: list of (label, take_count)
-    demand = {lab: 0 for lab in pool_labels}
-    for c in range(n_clients):
-        entry = []
-        for t in range(labels_per_client):
-            lab = pool_labels[(c * labels_per_client + t) % len(pool_labels)]
-            take = base + (1 if t < rem else 0)
-            entry.append((lab, take))
-            demand[lab] += take
-        assignments.append(entry)
-
-    for lab in pool_labels:
-        if demand[lab] > by_label[lab].size:
-            raise PartitionError(
-                f"label {lab} has {by_label[lab].size} samples, request needs {demand[lab]}"
-            )
+    extra = np.tile(np.arange(labels_per_client) < rem, n_clients)
+    slot_labels = np.arange(extra.size) % n_pool
+    demand = [base * n + n_extra for n, n_extra in zip(
+        np.bincount(slot_labels, minlength=n_pool).tolist(),
+        np.bincount(slot_labels[extra], minlength=n_pool).tolist(),
+    )]
+    for lab, have, need in zip(pool_labels.tolist(), counts.tolist(), demand):
+        if need > have:
+            raise PartitionError(f"label {lab} has {have} samples, request needs {need}")
 
     rng = stream(seed)
-    unused = {lab: by_label[lab][rng.permutation(by_label[lab].size)] for lab in pool_labels}
-
+    rows = [np.flatnonzero(labels == lab)[rng.permutation(have)]
+            for lab, have in zip(pool_labels.tolist(), counts.tolist())]
+    cursor = [0] * n_pool
     taken = []
-    for entry in assignments:
-        for lab, take in entry:
-            taken.append(unused[lab][:take])
-            unused[lab] = unused[lab][take:]
+    for p, take in zip(slot_labels.tolist(), (base + extra).tolist()):
+        taken.append(rows[p][cursor[p]:cursor[p] + take])
+        cursor[p] += take
     taken = np.concatenate(taken)
     packed = features[taken]
     return FederatedDataset(

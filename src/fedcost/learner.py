@@ -4,24 +4,24 @@ One training round: sample K of the N clients uniformly without replacement,
 run E local SGD steps on each with a per-round decayed learning rate,
 aggregate the returned models weighted by shard size, score the federation
 with global_loss, then draw the round's communication costs.  The sampled
-clients are stepped together, in stacked numpy calls over the dataset's
-packed rows, with the same float operations per client as local_sgd, so a
-round's result is bit-identical to a loop of local_sgd calls.  global_loss
-writes every array it computes into one scratch that run_fedavg builds per
-run, so the rounds allocate no array the size of the federation.  Each trace
-keeps the round's job (computation and upload seconds per sampled client)
-and its energy; the uplink strategy only prices the job, via
-scheduler.round_time, so one trajectory serves every strategy.
+clients step together on one stack in cost order, in numpy calls over the
+packed rows with local_sgd's float operations per client, and aggregate sums
+them in client-id order, so a round is bit-identical to a loop of local_sgd
+calls.  global_loss writes every array it computes into one scratch that
+run_fedavg builds per run, so the rounds allocate no array the size of the
+federation.  Each trace keeps the round's job (computation and upload
+seconds per sampled client) and its energy; the uplink strategy only prices
+the job, via scheduler.round_time, so one trajectory serves every strategy.
 
 Gradients are explicit (softmax minus one-hot), which keeps the model convex
 and finite-difference checkable.  All client randomness is pre-keyed on
 (seed, round, client), so traces are independent of execution order: train_all
 fans independent runs out to forked worker processes, and a run whose rounds
 carry at least _SPLIT_STEPS local steps (K E) forks one stepping partner once
-a CPU is free for it, which steps about half of each round's clients (see
-run_fedavg).  Both are pools from _pool that inherit the dataset, forked only
-where _fork_context allows, and every trace and model is the same bits at
-any CPU count.
+a CPU is free for it, which steps the costliest clients at the front of each
+round's stack, about half its rows per step (see _partner_share).  Both are
+pools from _pool that inherit the dataset, forked only where _fork_context
+allows, and every trace and model is the same bits at any CPU count.
 """
 
 import itertools
@@ -273,37 +273,38 @@ _SPLIT_STEPS = 1024
 
 
 def _partner_share(sizes, batch_size):
-    """The partner's share of a round's clients with these shard sizes, as a
-    mask: laid end to end, costliest first, the clients whose midpoint falls
-    in the first half of the round's cost, a client's cost being its rows per
-    step, min(n_k, batch_size).  The shares differ by at most one client's
-    cost, and two or more clients leave neither empty.  The cheapest clients,
-    those on the full-batch path, come last, so they stay together in the
-    run's share unless they cost more than half the round: a share split
-    across both paths would step an extra group each step."""
+    """A round's stepping order for clients of these shard sizes and how many
+    from its front a stepping partner steps: (order, count).  Minibatch
+    clients (over batch_size rows) come first, in position order, then the
+    full-batch ones, largest first; the partner takes those whose midpoint,
+    laid end to end, falls in the first half of the round's rows per step,
+    min(n_k, batch_size) each.  The shares differ by at most one client's,
+    neither is empty given two clients, and at most one steps both SGD paths.
+    batch_size is clamped to the largest shard, so it need not fit an int64."""
+    batch_size = min(batch_size, int(sizes.max()))
     costs = np.minimum(sizes, batch_size)
-    order = np.argsort(-costs, kind="stable")
+    order = np.argsort(-(costs + (sizes > batch_size)), kind="stable")
     ends = np.cumsum(costs[order])
-    theirs = np.zeros(costs.size, dtype=bool)
-    theirs[order[2 * ends - costs[order] < ends[-1]]] = True
-    return theirs
+    return order, int(np.count_nonzero(2 * ends - costs[order] < ends[-1]))
 
 
 def _step_clients(model, dataset, ids, config, r, partner=None):
     """local_sgd's result for each client of `ids` in round r of a run under
-    `config`, stepped together in groups of at most _GROUP: weights (m, C, d)
-    and biases (m, C), in the order of `ids`, each client's floats those of
-    local_sgd on its (seed, round, client) substream.  Given a partner, it
-    steps one of two shares of near-equal cost (_partner_share) while this
-    process steps the other, which moves no bit; if either fails, the round
-    is stepped again here, so it raises the serial loop's first failure."""
+    `config`, as (ids, weights (m, C, d), biases (m, C)) in _partner_share's
+    order, stack entry j being client ids[j]'s, with local_sgd's floats on
+    its (seed, round, client) substream.  Clients step in place on one
+    stack, in slices of at most _GROUP, the full-batch ones first.  Given a
+    partner, it steps the front share while this process steps the rest,
+    which moves no bit; if either fails, the round is stepped again here, so
+    it raises the serial loop's first failure."""
+    order, count = _partner_share(dataset.sizes[ids], config.batch_size)
+    ids = ids[order]
     if partner is not None:
         from concurrent.futures.process import BrokenProcessPool
 
-        theirs = _partner_share(dataset.sizes[ids], config.batch_size)
         try:
-            future = partner.submit(_step_share, model, ids[theirs], config, r)
-            own = _step_clients(model, dataset, ids[~theirs], config, r)
+            future = partner.submit(_step_share, model, ids[:count], config, r)
+            own = _step_clients(model, dataset, ids[count:], config, r)
             other = future.result()
         except FloatingPointError:
             return _step_clients(model, dataset, ids, config, r)
@@ -311,27 +312,19 @@ def _step_clients(model, dataset, ids, config, r, partner=None):
             raise BrokenProcessPool(
                 f"the stepping partner of the K={config.k}, E={config.e} run died in round {r}"
             ) from None
-        w = np.empty((ids.size,) + model.weights.shape)
-        b = np.empty((ids.size,) + model.bias.shape)
-        (w[~theirs], b[~theirs]), (w[theirs], b[theirs]) = own, other
-        return w, b
+        return tuple(np.concatenate(pair) for pair in zip(other, own))
     steps, lr, batch_size = config.e, config.eta0 / (1.0 + r), config.batch_size
-    w = np.empty((ids.size,) + model.weights.shape)
-    b = np.empty((ids.size,) + model.bias.shape)
-    full = dataset.sizes[ids] <= batch_size
-    for is_full in (True, False):
-        positions = np.flatnonzero(full == is_full)
-        for start in range(0, positions.size, _GROUP):
-            group = positions[start:start + _GROUP]
-            gw = np.repeat(model.weights[None], group.size, axis=0)
-            gb = np.repeat(model.bias[None], group.size, axis=0)
-            if is_full:
-                _full_batch_steps(gw, gb, dataset, ids[group], steps, lr)
-            else:
-                rngs = [stream(config.seed, SGD, r, cid) for cid in ids[group].tolist()]
-                _minibatch_steps(gw, gb, dataset, ids[group], steps, lr, batch_size, rngs)
-            w[group], b[group] = gw, gb
-    return w, b
+    w = np.repeat(model.weights[None], ids.size, axis=0)
+    b = np.repeat(model.bias[None], ids.size, axis=0)
+    mini = int(np.count_nonzero(dataset.sizes[ids] > batch_size))
+    for start in range(mini, ids.size, _GROUP):
+        group = slice(start, start + _GROUP)
+        _full_batch_steps(w[group], b[group], dataset, ids[group], steps, lr)
+    for start in range(0, mini, _GROUP):
+        group = slice(start, min(start + _GROUP, mini))
+        rngs = [stream(config.seed, SGD, r, cid) for cid in ids[group].tolist()]
+        _minibatch_steps(w[group], b[group], dataset, ids[group], steps, lr, batch_size, rngs)
+    return ids, w, b
 
 
 def _minibatch_steps(w, b, dataset, ids, steps, lr, batch_size, rngs):
@@ -391,9 +384,9 @@ def _full_batch_steps(w, b, dataset, ids, steps, lr):
 
 
 def _step_share(model, ids, config, r):
-    """A stepping partner's share of round r: _step_clients' stacks for `ids`
-    over the dataset it inherited.  It steps under the run's errstate, so a
-    FloatingPointError comes back through the future."""
+    """A stepping partner's share of round r: _step_clients' (ids, weights,
+    biases) for `ids` over the dataset it inherited.  It steps under the
+    run's errstate, so a FloatingPointError comes back through the future."""
     with np.errstate(over="raise", invalid="raise"):
         return _step_clients(model, _tasks[-1][0], ids, config, r)
 
@@ -453,8 +446,9 @@ def run_fedavg(dataset, profile, config):
     stepping partner dies.  Until a partner starts, each round first tries to
     start one (_stepping_partner): a run trained alone starts it before round
     0, a run in a train_all worker once a CPU falls idle, and that CPU is
-    returned when the run ends.  No process or thread it starts outlives the
-    call.  Returns (final model, per-round traces).
+    returned when the run ends.  aggregate sums each round's models, which
+    come in _step_clients' order, in client-id order.  No process or thread
+    it starts outlives the call.  Returns (final model, per-round traces).
     """
     n = dataset.n_clients
     if profile.n_clients != n:
@@ -480,8 +474,8 @@ def run_fedavg(dataset, profile, config):
             try:
                 # an overflow raises here, before it can leave non-finite models
                 with np.errstate(over="raise", invalid="raise"):
-                    w, b = _step_clients(model, dataset, ids, config, r, partner)
-                    model = aggregate(ids, w, b, dataset)
+                    stepped = _step_clients(model, dataset, ids, config, r, partner)
+                    model = aggregate(*stepped, dataset)
                     loss = global_loss(model, dataset, scratch)
             except FloatingPointError as exc:
                 raise DivergenceError(f"diverged at round {r}: {exc}") from None

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import inspect
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import usable_cpus, write_idx, write_oversized_idx
+import fedcost
 from fedcost import learner
 from fedcost.cli import build_dataset, main, needs_for_command
 from fedcost.config import SCHEMA, ConfigError, parse_config
@@ -788,11 +790,16 @@ def test_unallocatable_dataset_is_one_error_line(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
-def readme_config_rows():
-    """(key, default cell) of each row of README's config table."""
+def readme_section(title):
+    """The text of README's "## title" section."""
     path = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(path) as fh:
-        table = fh.read().split("## Config format", 1)[1].split("\n## ", 1)[0]
+        return fh.read().split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_config_rows():
+    """(key, default cell) of each row of README's config table."""
+    table = readme_section("Config format")
     cells = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
     return [(key.strip().strip("`"), default.strip().strip("`")) for key, default in cells]
 
@@ -807,6 +814,16 @@ def test_readme_config_table_lists_each_key_once():
     # checks each default cell against SCHEMA
     keys = [key for key, _ in readme_config_rows()]
     assert sorted(keys) == sorted(SCHEMA)
+
+
+def test_readme_quick_start_compiles_and_imports_names_that_exist():
+    # later renames in the library must reach README's example
+    source = readme_section("Library quick start").split("```python\n", 1)[1].split("```", 1)[0]
+    compile(source, "README quick start", "exec")
+    imported = [alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "fedcost"
+                for alias in node.names]
+    assert imported and [name for name in imported if not hasattr(fedcost, name)] == []
 
 
 def test_defaults_agree(tmp_path):
@@ -1012,13 +1029,21 @@ def run_at_cpus(tmp_path, capsys, monkeypatch, argv, cpus):
     return code, captured.out, captured.err, digests
 
 
+# a fixed run whose rounds carry enough local steps for a stepping partner,
+# with a batch size past every int64
+HUGE_BATCH_SPLIT_RUN = BASE.format(gamma=0.5).replace(
+    "batch_size = 32", f"batch_size = {2**63}"
+) + f"mode = fixed\ncontrol.k = 8\ncontrol.e = {-(-learner._SPLIT_STEPS // 8)}\n"
+
+
 @pytest.mark.parametrize("command, body", [
-    ("run", "mode = optimize\n" + PLAN),
-    ("compare-schedulers", SWEEP_K),
-    ("estimate", TIMED_OUT_PLAN),
-], ids=["run-pilots", "compare-schedulers", "pilots-time-out"])
+    ("run", BASE.format(gamma=0.5) + "mode = optimize\n" + PLAN),
+    ("compare-schedulers", BASE.format(gamma=0.5) + SWEEP_K),
+    ("estimate", BASE.format(gamma=0.5) + TIMED_OUT_PLAN),
+    ("run", HUGE_BATCH_SPLIT_RUN),
+], ids=["run-pilots", "compare-schedulers", "pilots-time-out", "huge-batch-split-run"])
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch, command, body):
-    argv = [command, "--config", write_config(tmp_path, BASE.format(gamma=0.5) + body)]
+    argv = [command, "--config", write_config(tmp_path, body)]
     serial = run_at_cpus(tmp_path, capsys, monkeypatch, argv, 1)
     assert run_at_cpus(tmp_path, capsys, monkeypatch, argv, 2) == serial
     code, _, _, digests = serial

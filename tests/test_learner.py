@@ -740,13 +740,27 @@ def test_split_rounds_equal_the_per_client_loop_on_random_shapes(
 
 
 @given(st.lists(st.integers(1, 300), min_size=1, max_size=100), st.integers(1, 100))
+@example([64, 70, 70, 10, 20], 64)
 def test_partner_share_balances_rows_per_step(sizes, batch_size):
     sizes = np.array(sizes)
-    theirs = learner._partner_share(sizes, batch_size)
-    assert np.array_equal(theirs, learner._partner_share(sizes.copy(), batch_size))
+    order, count = learner._partner_share(sizes, batch_size)
+    again, count_again = learner._partner_share(sizes.copy(), batch_size)
+    assert np.array_equal(order, again) and count == count_again
+    assert sorted(order.tolist()) == list(range(sizes.size))
+    theirs, ours = order[:count], order[count:]
     costs = np.minimum(sizes, batch_size)
-    assert abs(costs[theirs].sum() - costs[~theirs].sum()) <= costs.max()
-    assert (~theirs).any() and (theirs.any() or sizes.size == 1)
+    assert abs(costs[theirs].sum() - costs[ours].sum()) <= costs.max()
+    assert ours.size and (theirs.size or sizes.size == 1)
+    # at most one share steps both SGD paths
+    full = sizes <= batch_size
+    assert not (full[theirs].any() and (~full[ours]).any())
+
+
+def test_partner_share_leaves_the_full_batch_clients_to_the_run():
+    # the 64-row client costs as much as a minibatch one, but steps full-batch
+    order, count = learner._partner_share(np.array([64, 70, 70, 10, 20]), 64)
+    assert order.tolist() == [1, 2, 0, 4, 3]
+    assert set(order[:count].tolist()) == {1, 2} and set(order[count:].tolist()) == {0, 3, 4}
 
 
 @pytest.mark.parametrize("share", ["run", "partner", "both"])
@@ -759,8 +773,8 @@ def test_a_diverging_split_round_raises_the_serial_error(monkeypatch, tmp_path, 
     config = TrainConfig(k=len(sizes), e=-(-learner._SPLIT_STEPS // len(sizes)), batch_size=8,
                          eta0=1e300 if share == "both" else 0.5, max_rounds=3, seed=3)
     if share != "both":
-        theirs = learner._partner_share(dataset.sizes, config.batch_size)
-        poisoned = np.flatnonzero(theirs == (share == "partner"))[0]
+        order, count = learner._partner_share(dataset.sizes, config.batch_size)
+        poisoned = (order[:count] if share == "partner" else order[count:]).min()
         start, size = dataset.offsets[poisoned], dataset.sizes[poisoned]
         dataset.features[start:start + size] *= 1e300
     profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
