@@ -25,19 +25,9 @@ class PartitionError(ValueError):
 
 
 class IdxError(ValueError):
-    """Base class for IDX file-format failures."""
-
-
-class IdxMagicError(IdxError):
-    pass
-
-
-class IdxTruncatedError(IdxError):
-    pass
-
-
-class IdxCountMismatchError(IdxError):
-    pass
+    """Raised for a malformed IDX file pair: a wrong magic number, fewer bytes
+    than a header claims (the message names the file), or image and label
+    counts that disagree."""
 
 
 @dataclass
@@ -219,20 +209,26 @@ def partition_by_label(features, labels, n_clients, labels_per_client, samples_p
     )
 
 
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
 def _read_exact(fh, count, path):
     # check first: a header may claim more bytes than memory holds; pipes have no size
     st = os.fstat(fh.fileno())
     left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else count
     if count > left:
-        raise IdxTruncatedError(f"{path}: expected {count} more bytes, got {left}")
+        raise IdxError(f"{path}: expected {count} more bytes, got {left}")
     data = fh.read(count)
     if len(data) != count:
-        raise IdxTruncatedError(f"{path}: expected {count} more bytes, got {len(data)}")
+        raise IdxError(f"{path}: expected {count} more bytes, got {len(data)}")
     return data
+
+
+def _read_idx(path, ndim):
+    """(shape, payload bytes) of an unsigned-byte IDX file of ndim dimensions:
+    magic number 0x0800 + ndim, ndim big-endian uint32 sizes, then the payload."""
+    with open(path, "rb") as fh:
+        magic, *shape = struct.unpack(f">{ndim + 1}I", _read_exact(fh, 4 * (ndim + 1), path))
+        if magic != 0x0800 + ndim:
+            raise IdxError(f"{path}: magic 0x{magic:08x}, expected 0x{0x0800 + ndim:08x}")
+        return shape, _read_exact(fh, math.prod(shape), path)
 
 
 def load_idx(images_path, labels_path):
@@ -240,25 +236,12 @@ def load_idx(images_path, labels_path):
     labels (n,) int64).
 
     The pixels stay raw bytes, so partition_by_label scales only the rows it
-    takes; the image and label counts must agree.
+    takes; the image and label counts must agree.  A malformed file raises
+    IdxError.
     """
-    with open(images_path, "rb") as fh:
-        magic, n_images, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path))
-        if magic != _IDX_IMAGES_MAGIC:
-            raise IdxMagicError(
-                f"{images_path}: magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}"
-            )
-        raw = _read_exact(fh, n_images * rows * cols, images_path)
-    with open(labels_path, "rb") as fh:
-        magic, n_labels = struct.unpack(">II", _read_exact(fh, 8, labels_path))
-        if magic != _IDX_LABELS_MAGIC:
-            raise IdxMagicError(
-                f"{labels_path}: magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}"
-            )
-        raw_labels = _read_exact(fh, n_labels, labels_path)
+    (n_images, rows, cols), raw = _read_idx(images_path, 3)
+    (n_labels,), raw_labels = _read_idx(labels_path, 1)
     if n_images != n_labels:
-        raise IdxCountMismatchError(f"{n_images} images but {n_labels} labels")
-
+        raise IdxError(f"{n_images} images but {n_labels} labels")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n_images, rows * cols)
     return pixels, np.frombuffer(raw_labels, dtype=np.uint8).astype(np.int64)
-

@@ -14,6 +14,7 @@ training at a few (K, E) pairs until two preset loss levels are crossed; the
 ratio of the E-scaled round-count gaps between two pilots pins rho.
 """
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -233,9 +234,11 @@ def rho_from_pilots(records, n_clients):
 
     For pilots i and j, the ratio r of their E-scaled level-crossing gaps
     E (R_b - R_a) satisfies r = (rho + phi_i E_i^2) / (rho + phi_j E_j^2);
-    solving gives one estimate per unordered pair.  Pairs with nearly equal
-    gaps (|1 - r| below _MIN_RATIO_GAP, where the solve is ill-conditioned)
-    or a non-positive estimate are discarded; the survivors are averaged.
+    solving gives one estimate per unordered pair.  Pairs with a pilot whose
+    gap is not positive, nearly equal gaps (|1 - r| below _MIN_RATIO_GAP,
+    where the solve is ill-conditioned) or a non-positive estimate are
+    discarded; the survivors are averaged.  If none survives, the
+    EstimationError counts the discarded pairs by reason.
     """
     scaled = []
     for rec in records:
@@ -243,18 +246,25 @@ def rho_from_pilots(records, n_clients):
         x = float(sampling_penalty(rec.k, n_clients)) * rec.e**2
         scaled.append((gap, x))
     estimates = []
+    dropped = collections.Counter()  # reason -> discarded pairs
     for (gi, xi), (gj, xj) in itertools.combinations(scaled, 2):
         if gi <= 0 or gj <= 0:
+            dropped["a pilot crossed both levels in one round"] += 1
             continue
         r = gi / gj
         if abs(1.0 - r) < _MIN_RATIO_GAP:
+            dropped[f"gap ratio within {_MIN_RATIO_GAP} of 1"] += 1
             continue
         rho = (r * xj - xi) / (1.0 - r)
         if rho > 0:
             estimates.append(rho)
+        else:
+            dropped["rho <= 0"] += 1
     if not estimates:
+        counts = ", ".join(f"{n} with {reason}" for reason, n in dropped.items())
         raise EstimationError(
-            "every pilot pair was discarded; re-plan with a wider (K, E) spread"
+            f"every pilot pair was discarded ({counts}); "
+            "re-plan with a wider (K, E) spread or loss levels further apart"
         )
     return float(np.mean(estimates))
 

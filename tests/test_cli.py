@@ -826,6 +826,16 @@ def test_readme_quick_start_compiles_and_imports_names_that_exist():
     assert imported and [name for name in imported if not hasattr(fedcost, name)] == []
 
 
+def test_readme_module_table_names_every_module_once():
+    table = readme_section("What is in the box")
+    named = [line.split("|")[1].strip().strip("`") for line in table.splitlines()
+             if line.startswith("| `fedcost.")]
+    package = os.path.dirname(fedcost.__file__)
+    modules = [f"fedcost.{name[:-3]}" for name in os.listdir(package)
+               if name.endswith(".py") and name != "__init__.py"]
+    assert sorted(named) == sorted(modules)
+
+
 def test_defaults_agree(tmp_path):
     # the resolved config holds every SCHEMA key; each one BASE leaves unset
     # reads its default

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from conftest import write_idx, write_oversized_idx
 from fedcost.datagen import (
     FederatedDataset,
-    IdxCountMismatchError,
-    IdxMagicError,
-    IdxTruncatedError,
+    IdxError,
     PartitionError,
     gen_synthetic,
     load_idx,
@@ -271,11 +269,15 @@ def test_load_idx_roundtrip(tmp_path):
     np.testing.assert_array_equal(features, images.reshape(10, -1))
 
 
-def test_load_idx_magic_mismatch(tmp_path):
+@pytest.mark.parametrize("magic, message", [
+    ({"image_magic": 0x801}, r"imgs\.idx: magic 0x00000801, expected 0x00000803$"),
+    ({"label_magic": 0x803}, r"labs\.idx: magic 0x00000803, expected 0x00000801$"),
+], ids=["images", "labels"])
+def test_load_idx_magic_mismatch(tmp_path, magic, message):
     rng = np.random.default_rng(1)
     img, lab = write_idx(tmp_path, rng.integers(0, 256, (4, 2, 2)), rng.integers(0, 3, 4),
-                         image_magic=0x801)
-    with pytest.raises(IdxMagicError):
+                         **magic)
+    with pytest.raises(IdxError, match=message):
         load_idx(img, lab)
 
 
@@ -283,12 +285,12 @@ def test_load_idx_truncated(tmp_path):
     rng = np.random.default_rng(2)
     img, lab = write_idx(tmp_path, rng.integers(0, 256, (4, 2, 2)), rng.integers(0, 3, 4),
                          truncate_images=5)
-    with pytest.raises(IdxTruncatedError):
+    with pytest.raises(IdxError, match=r"imgs\.idx: expected 16 more bytes, got 11$"):
         load_idx(img, lab)
 
 
 def test_load_idx_header_claiming_more_than_the_file_holds(tmp_path):
-    with pytest.raises(IdxTruncatedError, match="got 64"):
+    with pytest.raises(IdxError, match="got 64"):
         load_idx(*write_oversized_idx(tmp_path))
 
 
@@ -296,7 +298,7 @@ def test_load_idx_count_mismatch(tmp_path):
     rng = np.random.default_rng(3)
     img, lab = write_idx(tmp_path, rng.integers(0, 256, (10, 2, 2)), rng.integers(0, 3, 10),
                          label_count=9)
-    with pytest.raises(IdxCountMismatchError):
+    with pytest.raises(IdxError, match="^10 images but 9 labels$"):
         load_idx(img, lab)
 
 

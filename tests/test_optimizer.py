@@ -203,6 +203,17 @@ def test_acs_flags_non_convergence_at_sweep_cap(monkeypatch):
     assert sol.k_star >= 1 and sol.e_star >= 1  # still returns the best iterate
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("rho", [1.0, 500.0, 1e5])
+def test_acs_matches_grid_on_a_one_client_fleet(gamma, rho):
+    # at N = 1 the K solve's closed form is 0/0, so it returns K = 1 directly
+    costs = AveragedCosts(1, 0.5, 0.2, 0.01, 0.02, gamma)
+    coeffs = ConvergenceCoeffs(rho=rho)
+    sol = acs_optimize(costs, coeffs)
+    grid = grid_search(costs, coeffs, [1], range(1, 2001))
+    assert (sol.k_star, sol.e_star, sol.r_star) == (grid.k_star, grid.e_star, grid.r_star)
+
+
 def test_grid_search_single_cell():
     sol = grid_search(sim_costs_with(0.5), SIM_COEFFS, [7], [13])
     assert (sol.k_star, sol.e_star) == (7, 13)
@@ -265,6 +276,23 @@ def test_rho_recovery_is_exact_for_any_well_separated_plan():
 def test_identical_pilots_are_discarded():
     records = synthetic_records(500.0, [(5, 10), (5, 10)], 50)
     with pytest.raises(EstimationError, match="spread"):
+        rho_from_pilots(records, 50)
+
+
+@pytest.mark.parametrize("records, counts", [
+    ([PilotRecord(k=k, e=e, rounds_to_a=3, rounds_to_b=3) for k, e in [(2, 5), (5, 10), (10, 20)]],
+     "3 with a pilot crossed both levels in one round"),
+    (synthetic_records(500.0, [(5, 10)] * 3, 50), "3 with gap ratio within 0.05 of 1"),
+    # the gap E (R_b - R_a) shrinks as E grows, which only a negative rho explains
+    ([PilotRecord(k=5, e=e, rounds_to_a=0, rounds_to_b=r) for e, r in [(10, 40), (40, 5), (160, 1)]],
+     "3 with rho <= 0"),
+    ([PilotRecord(k=5, e=10, rounds_to_a=3, rounds_to_b=3)]
+     + synthetic_records(500.0, [(5, 10)] * 2, 50),
+     "2 with a pilot crossed both levels in one round, 1 with gap ratio within 0.05 of 1"),
+], ids=["one-round-crossing", "near-equal-gaps", "negative-rho", "mixed"])
+def test_all_discarded_pairs_are_counted_by_reason(records, counts):
+    with pytest.raises(EstimationError,
+                       match=rf"^every pilot pair was discarded \({counts}\); .* spread"):
         rho_from_pilots(records, 50)
 
 
