@@ -91,11 +91,11 @@ def _grid_ranges(config, n_clients):
 def _solve(config, dataset, profile, rho, grid=False):
     """Pick (K*, E*) by ACS, or by grid search when `grid`, at the profile's
     averaged costs priced by gamma; with rho None, estimate rho from pilot
-    runs on `dataset` first.  Writes nothing.  Returns (solution, rho, pilot
-    records, overhead ratio), the last two None when rho was given; the
+    runs on `dataset` first.  Writes nothing.  Returns (solution, rho, the
+    RhoEstimate, overhead ratio), the last two None when rho was given; the
     overhead ratio is the pilots' local steps over the solution's K* E* R*."""
     costs = system.averaged_costs(profile, config["gamma"])
-    records = overhead = None
+    estimate = overhead = None
     if rho is None:
         # the run's training settings, seeded apart; each pilot sets its own
         # K, E, round cap, target loss and seed from them
@@ -113,24 +113,29 @@ def _solve(config, dataset, profile, rho, grid=False):
             profile,
             pilot_train,
         )
-        rho, records = estimate.rho, estimate.records
+        rho = estimate.rho
     coeffs = ConvergenceCoeffs(rho=rho)
     if grid:
         solution = optimizer.grid_search(costs, coeffs, *_grid_ranges(config, costs.n_clients))
     else:
         solution = optimizer.acs_optimize(costs, coeffs)
-    if records is not None:
+    if estimate is not None:
         overhead = estimate.pilot_steps / (solution.k_star * solution.e_star * solution.r_star)
-    return solution, rho, records, overhead
+    return solution, rho, estimate, overhead
 
 
-def _write_solution(config, solution, rho, records, overhead):
+def _write_solution(config, solution, rho, estimate, overhead):
     """Write _solve's result: solution.csv, and estimation.csv after pilots;
-    warn on stderr when R* exceeds the round cap."""
+    warn on stderr when rho averages only some pilot pairs and when R*
+    exceeds the round cap."""
     out_dir, cap = config["out"], config["train.max_rounds"]
-    if records is not None:
-        optimizer.write_estimation_csv(records, os.path.join(out_dir, "estimation.csv"))
+    if estimate is not None:
+        optimizer.write_estimation_csv(estimate.records, os.path.join(out_dir, "estimation.csv"))
     optimizer.write_solution_csv(solution, os.path.join(out_dir, "solution.csv"), rho, overhead)
+    if estimate is not None and estimate.discarded:
+        pairs = math.comb(len(estimate.records), 2)
+        print(f"warning: rho averages {estimate.averaged} of {pairs} pilot pairs; "
+              f"discarded {estimate.discarded}", file=sys.stderr)
     if solution.r_star > cap:
         print(f"warning: R*={solution.r_star} exceeds train.max_rounds={cap}", file=sys.stderr)
 

@@ -45,6 +45,13 @@ _count = _int_from(1)
 _finite = _checked(float, math.isfinite, "must be finite")
 _positive = _checked(_finite, lambda v: v > 0, "must be > 0")
 _non_negative = _checked(_finite, lambda v: v >= 0, "must be >= 0")
+# A sampled profile's costs and spreads.  A price multiplies a cost by counts
+# (K, E, rounds, clients), e_comp's spread is t_p_std / t_p_mean times
+# e_p_mean, and validate-properties scales costs by small factors.  These
+# bounds keep each such product of keys within [1e-150, 1e150], far from
+# where numpy overflows (its error names no key) or a cost turns 0.
+_cost = _checked(_positive, lambda v: 1e-50 <= v <= 1e50, "must lie in [1e-50, 1e50]")
+_spread = _checked(_non_negative, lambda v: v <= 1e50, "must be <= 1e50")
 
 
 def _split(item):
@@ -88,12 +95,12 @@ SCHEMA = {
     "dataset.labels_per_client": (_count, 2),
     "dataset.samples_per_client": (_count, None),
     "system.profile": (str, None),
-    "system.t_p_mean": (_positive, 0.5),
-    "system.t_p_std": (_non_negative, 0.15),
-    "system.e_p_mean": (_positive, 0.01),
-    "system.t_m_mean": (_positive, 0.2),
-    "system.e_m_mean": (_positive, 0.02),
-    "system.jitter": (_non_negative, 0.1),
+    "system.t_p_mean": (_cost, 0.5),
+    "system.t_p_std": (_spread, 0.15),
+    "system.e_p_mean": (_cost, 0.01),
+    "system.t_m_mean": (_cost, 0.2),
+    "system.e_m_mean": (_cost, 0.02),
+    "system.jitter": (_spread, 0.1),
     "system.comm_spread": (
         _checked(_non_negative, lambda v: math.isfinite(v * v), "its square must be finite"),
         0.2,

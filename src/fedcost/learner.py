@@ -17,14 +17,14 @@ Gradients are explicit (softmax minus one-hot), which keeps the model convex
 and finite-difference checkable.  All client randomness is pre-keyed on
 (seed, round, client), so traces are independent of execution order: train_all
 fans independent runs out to forked worker processes, and a run whose rounds
-carry at least _SPLIT_STEPS local steps (K E) forks one stepping partner once
-a CPU is free for it, which steps the costliest clients at the front of each
-round's stack, about half its rows per step (see _partner_share).  Both are
-pools from _pool that inherit the dataset, forked only where _fork_context
-allows, and every trace and model is the same bits at any CPU count.
+carry at least _SPLIT_STEPS local steps (K E) forks one stepping partner
+before its first round, alone or in a worker, which steps the costliest
+clients at the front of each round's stack, about half its rows per step (see
+_partner_share).  Both are pools from _pool that inherit the dataset, forked
+only where _fork_context allows, and every trace and model is the same bits at
+any CPU count.
 """
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -396,7 +396,7 @@ def _step_share(model, ids, config, r):
 
 
 # in a forked pool worker, at [-1], what its pool holds for it: (dataset,
-# profile, idle CPUs), with None for a partner's last two; empty elsewhere
+# profile), with None for a partner's profile; empty elsewhere
 _tasks = []
 
 
@@ -428,16 +428,13 @@ def _pool(context, workers, held):
 def _stepping_partner(dataset, config):
     """A one-worker pool for _step_share, for a run of two or more clients a
     round whose rounds carry at least _SPLIT_STEPS local steps, where this
-    process may fork onto two usable CPUs (_fork_context); else None.
-    In a train_all worker it also takes one of the call's idle CPUs, and
-    without one it returns None: a process beside busy workers would slow
-    them more than it helps."""
+    process may fork onto two usable CPUs (_fork_context); else None.  The
+    same in a train_all worker: there the partner time-shares the CPUs with
+    the other workers, which leaves the total work unchanged."""
     if config.k < 2 or config.k * config.e < _SPLIT_STEPS:
         return None
     cpus, context = _fork_context()
-    if cpus < 2 or (_tasks and not _tasks[-1][2].acquire(False)):  # without blocking
-        return None
-    return _pool(context, 1, (dataset, None, None))
+    return _pool(context, 1, (dataset, None)) if cpus >= 2 else None
 
 
 def run_fedavg(dataset, profile, config):
@@ -447,10 +444,9 @@ def run_fedavg(dataset, profile, config):
     reaches target_loss; raises DivergenceError once a round's models or loss
     overflow or turn invalid, or the loss passes _DIVERGED_LOSS_RATIO * ln(C),
     and BrokenProcessPool (a RuntimeError) naming the run and the round if its
-    stepping partner dies.  Until a partner starts, each round first tries to
-    start one (_stepping_partner): a run trained alone starts it before round
-    0, a run in a train_all worker once a CPU falls idle, and that CPU is
-    returned when the run ends.  aggregate sums each round's models, which
+    stepping partner dies.  The partner, if the run gets one
+    (_stepping_partner), starts before round 0, whether the run is trained
+    alone or in a train_all worker.  aggregate sums each round's models, which
     come in _step_clients' order, in client-id order.  No process or thread
     it starts outlives the call.  Returns (final model, per-round traces).
     """
@@ -469,11 +465,9 @@ def run_fedavg(dataset, profile, config):
     sample_rng = stream(config.seed, SAMPLING)
     scratch = _LossScratch(dataset)
     traces = []
-    partner = None
+    partner = _stepping_partner(dataset, config)
     try:
         for r in range(config.max_rounds):
-            if partner is None:
-                partner = _stepping_partner(dataset, config)
             ids = np.sort(sample_rng.choice(n, size=config.k, replace=False))
             try:
                 # an overflow raises here, before it can leave non-finite models
@@ -503,13 +497,11 @@ def run_fedavg(dataset, profile, config):
     finally:
         if partner is not None:
             partner.shutdown()
-            if _tasks:  # in a train_all worker: the partner's CPU is idle again
-                _tasks[-1][2].release()
     return model, traces
 
 
 def _traces(config):
-    dataset, profile, _ = _tasks[-1]
+    dataset, profile = _tasks[-1]
     return run_fedavg(dataset, profile, config)[1]
 
 
@@ -520,32 +512,22 @@ def train_all(dataset, profile, configs):
 
     Runs are submitted heaviest first (largest K E), so the longest starts
     at once, and the first failure in input order is re-raised, as a loop
-    would raise it.  Each run that ends with no run left to start leaves its
-    worker's CPU idle, and a run still going whose rounds carry at least
-    _SPLIT_STEPS local steps takes it for its stepping partner (see
-    run_fedavg), so the longest run is shared out once the others are done.
-    With one usable CPU, or where this process may not fork (_fork_context),
-    the runs go one after another here, each without a partner; a single run
-    goes here too.  The traces are the same bits either way, and a worker
-    that dies raises BrokenProcessPool."""
+    would raise it.  A run whose rounds carry at least _SPLIT_STEPS local
+    steps forks its stepping partner from its worker before its first round
+    (see run_fedavg), so a worker has at most one partner.  With one usable
+    CPU, or where this process may not fork (_fork_context), the runs go one
+    after another here, each without a partner; a single run goes here too.
+    The traces are the same bits either way, and a worker that dies raises
+    BrokenProcessPool."""
     n = len(configs)
     cpus, context = _fork_context()
     workers = min(n, cpus)
     if workers < 2:
         return [run_fedavg(dataset, profile, c)[1] for c in configs]
-    idle = context.Semaphore(cpus - workers)
-    pool = _pool(context, workers, (dataset, profile, idle))
-    ended = itertools.count(1)
-
-    def free_the_cpu(future):
-        if n - next(ended) < workers:  # no run is left to start on this worker
-            idle.release()
-
+    pool = _pool(context, workers, (dataset, profile))
     try:
         heaviest_first = sorted(range(n), key=lambda i: configs[i].k * configs[i].e, reverse=True)
         futures = {i: pool.submit(_traces, configs[i]) for i in heaviest_first}
-        for future in futures.values():
-            future.add_done_callback(free_the_cpu)
         return [futures[i].result() for i in range(n)]
     finally:
         pool.shutdown(cancel_futures=True)

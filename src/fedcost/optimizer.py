@@ -81,6 +81,8 @@ class RhoEstimate:
     rho: float
     records: tuple
     pilot_steps: int  # sum of K E R_b over the pilots
+    averaged: int  # pilot pairs whose estimates rho averages
+    discarded: str  # the other pairs counted by reason, "" when there are none
 
 
 def solve_k_given_e(e, costs, coeffs):
@@ -230,7 +232,13 @@ _MIN_RATIO_GAP = 0.05
 
 
 def rho_from_pilots(records, n_clients):
-    """Recover rho from pilot round counts.
+    """Recover rho from pilot round counts (see _pair_rhos)."""
+    return _pair_rhos(records, n_clients)[0]
+
+
+def _pair_rhos(records, n_clients):
+    """rho from pilot round counts, the number of pairs it averages, and the
+    discarded pairs counted by reason ("" when none is).
 
     For pilots i and j, the ratio r of their E-scaled level-crossing gaps
     E (R_b - R_a) satisfies r = (rho + phi_i E_i^2) / (rho + phi_j E_j^2);
@@ -260,13 +268,13 @@ def rho_from_pilots(records, n_clients):
             estimates.append(rho)
         else:
             dropped["rho <= 0"] += 1
+    counts = ", ".join(f"{n} with {reason}" for reason, n in dropped.items())
     if not estimates:
-        counts = ", ".join(f"{n} with {reason}" for reason, n in dropped.items())
         raise EstimationError(
             f"every pilot pair was discarded ({counts}); "
             "re-plan with a wider (K, E) spread or loss levels further apart"
         )
-    return float(np.mean(estimates))
+    return float(np.mean(estimates)), len(estimates), counts
 
 
 def estimate_rho(plan, dataset, profile, train):
@@ -274,10 +282,13 @@ def estimate_rho(plan, dataset, profile, train):
     The pilots' local step count is kept: over a solution's K* E* R* it is
     the estimation overhead."""
     records = run_pilots(plan, dataset, profile, train)
+    rho, averaged, discarded = _pair_rhos(records, dataset.n_clients)
     return RhoEstimate(
-        rho=rho_from_pilots(records, dataset.n_clients),
+        rho=rho,
         records=tuple(records),
         pilot_steps=sum(r.k * r.e * r.rounds_to_b for r in records),
+        averaged=averaged,
+        discarded=discarded,
     )
 
 

@@ -1,6 +1,7 @@
 """The bad-number contract, swept over every numeric config key: a command
 either succeeds with finite artifacts, or exits 1 with one diagnostic and
-creates nothing."""
+creates nothing.  A system.* key sets only prices, so a diagnostic it causes
+names it."""
 
 import csv
 import math
@@ -67,11 +68,12 @@ def _non_finite_cells(path):
                     yield cell
 
 
-def _violation(code, err, out, artifacts):
-    """Why one command run breaks the contract, or None."""
+def _violation(code, err, out, artifacts, key):
+    """Why one command run with a bad `key` breaks the contract, or None."""
     lines = err.splitlines()
     if code == 0:
-        stray = [line for line in lines if not line.startswith("warning: R*=")]
+        stray = [line for line in lines
+                 if not line.startswith(("warning: R*=", "warning: rho averages "))]
         files = sorted(p.name for p in out.iterdir()) if out.exists() else []
         if stray or files != sorted(artifacts):
             return f"exit 0, stderr {stray}, files {files}"
@@ -82,6 +84,8 @@ def _violation(code, err, out, artifacts):
     )
     if code != 1 or not one_line or out.exists():
         return f"exit {code}, stderr {lines}, output directory {out.exists()}"
+    if key.startswith("system.") and key not in err:
+        return f"stderr {lines} names no key"
     return None
 
 
@@ -101,7 +105,7 @@ def test_every_bad_number_ends_in_success_or_one_error_line(tmp_path, capsys, mo
                 except Exception as exc:  # a RuntimeWarning, as pytest raises it
                     code = f"{type(exc).__name__}: {exc}"
                 err = capsys.readouterr().err
-                why = _violation(code, err, out, artifacts)
+                why = _violation(code, err, out, artifacts, key)
                 if why is not None:
                     failures.append(f"{command} {extra.get('mode', '')} {key} = {value}: {why}")
                 shutil.rmtree(out, ignore_errors=True)

@@ -1,7 +1,8 @@
 """The benchmark's workloads (perfbench/run.py), run in-process at its
 reference seed: each artifact must match perfbench/reference_digests.json, so
 a change that moves a benchmark artifact fails here, not only in the
-benchmark."""
+benchmark.  Neither workload's rho, if it estimates one, leaves out a pilot
+pair, so stderr holds at most the R* warning."""
 
 import importlib.util
 import json
@@ -25,7 +26,7 @@ RUN = load_run()
 
 
 @pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
-def test_workload_artifacts_match_the_reference_digests(tmp_path, monkeypatch, name):
+def test_workload_artifacts_match_the_reference_digests(tmp_path, monkeypatch, capsys, name):
     with open(RUN.REFERENCE_PATH) as fh:
         reference = json.load(fh)
     workload = RUN.WORKLOADS[name]
@@ -40,3 +41,5 @@ def test_workload_artifacts_match_the_reference_digests(tmp_path, monkeypatch, n
     assert sorted(os.listdir(out)) == sorted(workload["artifacts"])
     digests = {artifact: RUN.sha256(out / artifact) for artifact in workload["artifacts"]}
     assert digests == reference["workloads"][name]
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if not line.startswith("warning: R*=")] == []

@@ -644,6 +644,20 @@ def test_estimate_command(tmp_path):
     assert "overhead_ratio" in sol[0]
 
 
+def test_rho_from_some_of_the_pilot_pairs_is_one_warning(tmp_path, capsys):
+    # at seed 7 the E=60 pilot crosses both levels in one round, so rho rests
+    # on the (E=20, E=120) pair alone
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                           "synthetic_optimize.cfg")) as fh:
+        body = fh.read().replace("2:40 5:100 10:200 16:350", "1:20 1:60 1:120")
+    cfg = write_config(tmp_path, body)
+    assert main(["estimate", "--config", cfg, "--seed", "7", "--out", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("estimate: rho=1745.45 ")
+    assert err == ("warning: rho averages 1 of 3 pilot pairs; "
+                   "discarded 2 with a pilot crossed both levels in one round\n")
+
+
 def test_optimize_estimate_and_run_write_the_same_solution(tmp_path):
     cfg = write_config(tmp_path, BASE.format(gamma=0.5) + PLAN + "mode = optimize\n")
     outs = {cmd: str(tmp_path / cmd) for cmd in ("optimize", "estimate", "run")}
@@ -766,11 +780,15 @@ control.e = 2
     ("run", "system.t_m_mean = 1e308"),
 ])
 def test_an_overflowing_fleet_is_one_error_line(tmp_path, capsys, command, line):
+    # numpy's "overflow encountered in ..." names no key; the key's bound
+    # stops each of these before any array is built
     out = tmp_path / "out"
     cfg = write_config(tmp_path, TINY + line + "\n")
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: overflow encountered in "), err
+    key = line.split(" = ")[0]
+    bound = "must be <= 1e50" if key == "system.jitter" else "must lie in [1e-50, 1e50]"
+    assert err == ["error: invalid configuration:", f"  - line 16: bad value for {key}: {bound}"]
     assert not os.path.exists(out)
 
 
@@ -994,6 +1012,11 @@ _PILOT_HEAD = "gamma = 0.5\ndataset.kind = synthetic\ndataset.n_clients = 8\n"
     ("system.e_p_mean = 0", "line 4: bad value for system.e_p_mean: must be > 0"),
     ("system.t_m_mean = inf", "line 4: bad value for system.t_m_mean: must be finite"),
     ("system.e_m_mean = -inf", "line 4: bad value for system.e_m_mean: must be finite"),
+    ("system.t_p_mean = 1e308",
+     "line 4: bad value for system.t_p_mean: must lie in [1e-50, 1e50]"),
+    ("system.e_p_mean = 1e-308",
+     "line 4: bad value for system.e_p_mean: must lie in [1e-50, 1e50]"),
+    ("system.t_p_std = 1e308", "line 4: bad value for system.t_p_std: must be <= 1e50"),
     ("train.eta0 = -1", "line 4: bad value for train.eta0: must be >= 0"),
     ("train.eta0 = nan", "line 4: bad value for train.eta0: must be finite"),
     ("train.eta0 = inf", "line 4: bad value for train.eta0: must be finite"),

@@ -675,17 +675,21 @@ def test_train_all_runs_serially_without_affinity_or_fork(monkeypatch, case):
 def steppers(monkeypatch, tmp_path):
     """Spy on learner._step_clients: returns a function that lists the ids
     of the processes that stepped clients, this one and any partner, which
-    inherits the spy."""
+    inherits the spy; given a round, those that stepped clients in it."""
     log = tmp_path / "steppers.log"
     step = learner._step_clients
 
-    def logged(*args):
+    def logged(*args):  # args[4] is the round
         with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
+            fh.write(f"{os.getpid()} {args[4]}\n")
         return step(*args)
 
+    def pids(r=None):
+        lines = log.read_text().splitlines() if log.exists() else []
+        return {pid for pid, at in map(str.split, lines) if r is None or int(at) == r}
+
     monkeypatch.setattr(learner, "_step_clients", logged)
-    return lambda: set(log.read_text().split()) if log.exists() else set()
+    return pids
 
 
 def assert_same_run(a, b):
@@ -810,9 +814,7 @@ def test_a_partner_that_dies_is_one_named_error(monkeypatch):
         run_fedavg(dataset, profile, config)
 
 
-@pytest.mark.parametrize(
-    "case", ["fleet-sweep point", "one cpu", "a thread alive", "no idle cpu in a worker"]
-)
+@pytest.mark.parametrize("case", ["fleet-sweep point", "one cpu", "a thread alive"])
 def test_runs_that_start_no_partner(monkeypatch, case):
     started = []
     start = multiprocessing.process.BaseProcess.start
@@ -825,8 +827,6 @@ def test_runs_that_start_no_partner(monkeypatch, case):
     else:
         dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
         config = TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, max_rounds=2)
-    if case == "no idle cpu in a worker":  # as in a train_all worker beside busy ones
-        monkeypatch.setattr(learner, "_tasks", [(None, None, threading.Semaphore(0))])
     profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
@@ -842,41 +842,28 @@ def test_runs_that_start_no_partner(monkeypatch, case):
     assert started == []
 
 
-def test_train_all_gives_the_last_run_a_partner_once_a_cpu_is_idle(monkeypatch, tmp_path):
+@pytest.mark.parametrize("other", ["light", "heavy"])
+def test_a_heavy_run_in_a_train_all_worker_forks_its_partner_before_round_0(
+    monkeypatch, tmp_path, other
+):
+    # beside a busy worker too: two heavy runs at two CPUs are stepped by
+    # exactly their two workers and their two partners
     pids = steppers(monkeypatch, tmp_path)
-    step = learner._step_clients
-    pause = time.sleep
-
-    def slow_round_1(model, dataset, ids, config, r, partner=None):
-        if r == 1 and ids.size > 2:  # the light run ends meanwhile
-            pause(0.5)
-        return step(model, dataset, ids, config, r, partner)
-
-    monkeypatch.setattr(learner, "_step_clients", slow_round_1)
     dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
     profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
     configs = [TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, eta0=0.5, max_rounds=4, seed=3),
-               TrainConfig(k=2, e=1, batch_size=8, max_rounds=1, seed=4)]
+               TrainConfig(k=2, e=1, batch_size=8, max_rounds=1, seed=4) if other == "light"
+               else TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, max_rounds=3, seed=4)]
     usable_cpus(monkeypatch, 1)
     serial = train_all(dataset, profile, configs)
     assert pids() == {str(os.getpid())}
     usable_cpus(monkeypatch, 2)
     for got, want in zip(train_all(dataset, profile, configs), serial):
         assert_same_run((None, got), (None, want))
-    # this process, the two workers and the heavy run's partner
-    assert len(pids()) == 4
-
-
-def test_a_partner_returns_its_cpu_when_its_run_ends(monkeypatch, tmp_path):
-    pids = steppers(monkeypatch, tmp_path)
-    usable_cpus(monkeypatch, 2)
-    idle = threading.Semaphore(1)
-    monkeypatch.setattr(learner, "_tasks", [(None, None, idle)])  # as in a train_all worker
-    dataset = mixed_dataset(MIXED_SIZES, 5, 4, seed=11)
-    profile = sample_profile(dataset.n_clients, 0.5, 0.1, 0.01, 0.2, 0.02, 0.1, seed=6)
-    run_fedavg(dataset, profile, TrainConfig(k=SPLIT_K, e=SPLIT_E, batch_size=8, max_rounds=2))
-    assert len(pids()) == 2  # a partner took the idle CPU
-    assert idle.acquire(False)
+    # this process, the two workers and one partner per heavy run, each
+    # partner stepping from round 0
+    partners = 1 if other == "light" else 2
+    assert len(pids(0)) == len(pids()) == 3 + partners
 
 
 def test_no_layer_pickles_the_dataset(monkeypatch, tmp_path):
