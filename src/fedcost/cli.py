@@ -91,11 +91,10 @@ def _grid_ranges(config, n_clients):
 def _solve(config, dataset, profile, rho, grid=False):
     """Pick (K*, E*) by ACS, or by grid search when `grid`, at the profile's
     averaged costs priced by gamma; with rho None, estimate rho from pilot
-    runs on `dataset` first.  Writes nothing.  Returns (solution, rho, the
-    RhoEstimate, overhead ratio), the last two None when rho was given; the
-    overhead ratio is the pilots' local steps over the solution's K* E* R*."""
+    runs on `dataset` first.  Writes nothing.  Returns (solution, the
+    RhoEstimate), the estimate None when rho was given."""
     costs = system.averaged_costs(profile, config["gamma"])
-    estimate = overhead = None
+    estimate = None
     if rho is None:
         # the run's training settings, seeded apart; each pilot sets its own
         # K, E, round cap, target loss and seed from them
@@ -119,17 +118,19 @@ def _solve(config, dataset, profile, rho, grid=False):
         solution = optimizer.grid_search(costs, coeffs, *_grid_ranges(config, costs.n_clients))
     else:
         solution = optimizer.acs_optimize(costs, coeffs)
-    if estimate is not None:
-        overhead = estimate.pilot_steps / (solution.k_star * solution.e_star * solution.r_star)
-    return solution, rho, estimate, overhead
+    return solution, estimate
 
 
-def _write_solution(config, solution, rho, estimate, overhead):
+def _write_solution(config, solution, estimate):
     """Write _solve's result: solution.csv, and estimation.csv after pilots;
     warn on stderr when rho averages only some pilot pairs and when R*
-    exceeds the round cap."""
+    exceeds the round cap.  Returns the rho solved at and, after pilots, the
+    overhead ratio: the pilots' local steps over the solution's K* E* R*."""
     out_dir, cap = config["out"], config["train.max_rounds"]
+    rho, overhead = config["rho"], None
     if estimate is not None:
+        rho = estimate.rho
+        overhead = estimate.pilot_steps / (solution.k_star * solution.e_star * solution.r_star)
         optimizer.write_estimation_csv(estimate.records, os.path.join(out_dir, "estimation.csv"))
     optimizer.write_solution_csv(solution, os.path.join(out_dir, "solution.csv"), rho, overhead)
     if estimate is not None and estimate.discarded:
@@ -138,21 +139,22 @@ def _write_solution(config, solution, rho, estimate, overhead):
               f"discarded {estimate.discarded}", file=sys.stderr)
     if solution.r_star > cap:
         print(f"warning: R*={solution.r_star} exceeds train.max_rounds={cap}", file=sys.stderr)
+    return rho, overhead
 
 
 def cmd_run(config):
     dataset, profile = build_dataset(config), build_profile(config)
     mode = config["mode"]
-    solved = None
+    solution = None
     if mode == "fixed":
         k, e = config["control.k"], config["control.e"]
     else:
-        solved = _solve(config, dataset, profile, config["rho"], grid=mode == "grid")
-        k, e = solved[0].k_star, solved[0].e_star
+        solution, estimate = _solve(config, dataset, profile, config["rho"], grid=mode == "grid")
+        k, e = solution.k_star, solution.e_star
 
     _, traces = run_fedavg(dataset, profile, build_train_config(config, k, e))
-    if solved is not None:  # only once training has succeeded
-        _write_solution(config, *solved)
+    if solution is not None:  # only once training has succeeded
+        _write_solution(config, solution, estimate)
     learner.export_traces(
         traces, os.path.join(config["out"], "traces.csv"), Strategy(config["scheduler"])
     )
@@ -162,9 +164,8 @@ def cmd_run(config):
 
 def cmd_optimize(config):
     dataset = build_dataset(config) if config["rho"] is None else None  # only pilots train
-    solved = _solve(config, dataset, build_profile(config), config["rho"])
-    _write_solution(config, *solved)
-    solution = solved[0]
+    solution, estimate = _solve(config, dataset, build_profile(config), config["rho"])
+    _write_solution(config, solution, estimate)
     print(
         f"optimize: K*={solution.k_star} E*={solution.e_star} R*={solution.r_star} "
         f"cost={solution.predicted_cost:.6g}"
@@ -173,9 +174,8 @@ def cmd_optimize(config):
 
 
 def cmd_estimate(config):
-    solved = _solve(config, build_dataset(config), build_profile(config), rho=None)
-    _write_solution(config, *solved)
-    _, rho, _, overhead = solved
+    solution, estimate = _solve(config, build_dataset(config), build_profile(config), rho=None)
+    rho, overhead = _write_solution(config, solution, estimate)
     print(f"estimate: rho={rho:.6g} overhead_ratio={overhead:.4f}")
     return 0
 
@@ -247,18 +247,17 @@ _COMMANDS = {
 
 def needs_for_command(config, command):
     """Per-command requirement check on the resolved config, where an absent
-    key reads None; returns a list of problems.  Every K the command would
-    train at must lie within dataset.n_clients, an idx dataset must name its
-    files exactly when the command trains, a synthetic one it trains on must
-    have a size_std / size_mean whose square is finite, and gamma is needed
-    exactly when the command prices a cost: the others need only N."""
+    key reads None; returns a list of problems.  Each key the command needs
+    and lacks is one `missing required key: KEY`: gamma exactly when the
+    command prices a cost, the pilot plan when pilots run (estimate, and
+    optimize or an optimize/grid run without rho), rho for
+    validate-properties and cost-surface, and an idx dataset's files exactly
+    when the command trains.  Every K the command would train at must lie
+    within dataset.n_clients, and the pilots' loss_a must exceed their
+    loss_b.  Each value's own range is its SCHEMA parser's alone to check."""
     problems = []
-    has_rho = config["rho"] is not None
-    has_plan = all(
-        config[k] is not None for k in ("estimate.pairs", "estimate.loss_a", "estimate.loss_b")
-    )
     solves = command == "optimize" or command == "run" and config["mode"] in ("optimize", "grid")
-    pilots = command == "estimate" or solves and not has_rho
+    pilots = command == "estimate" or solves and config["rho"] is None
     prices = solves or pilots or command in ("validate-properties", "cost-surface")
 
     def need(*keys):
@@ -276,28 +275,12 @@ def needs_for_command(config, command):
     trains = pilots or command in ("run", "compare-schedulers")
     if config["dataset.kind"] == "idx" and trains:
         need("dataset.images", "dataset.labels", "dataset.samples_per_client")
-    if config["dataset.kind"] == "synthetic" and trains:
-        cv = config["dataset.size_std"] / config["dataset.size_mean"]
-        if not math.isfinite(cv * cv):  # gen_synthetic's log-normal sigma^2 is log1p(cv^2)
-            problems.append(
-                f"dataset.size_std / dataset.size_mean = {cv:g}: its square must be finite"
-            )
 
     if command == "run":
         need("mode")
-        mode = config["mode"]
-        if mode == "fixed":
+        if config["mode"] == "fixed":
             need("control.k", "control.e")
             within_n("control.k", config["control.k"])
-        elif mode in ("optimize", "grid") and not (has_rho or has_plan):
-            problems.append(
-                "mode=%s needs rho or a complete estimation plan "
-                "(estimate.pairs, estimate.loss_a, estimate.loss_b)" % mode
-            )
-    elif command == "optimize" and not (has_rho or has_plan):
-        problems.append("optimize needs rho or a complete estimation plan")
-    elif command == "estimate" and not has_plan:
-        problems.append("estimate needs estimate.pairs, estimate.loss_a and estimate.loss_b")
     elif command == "compare-schedulers":
         need("sweep.variable", "sweep.values", "train.target_loss")
         if config["sweep.variable"] == "e":
@@ -306,12 +289,13 @@ def needs_for_command(config, command):
         elif config["sweep.variable"] == "k":
             need("sweep.e")
             within_n("sweep.values", *(config["sweep.values"] or ()))
-    elif command in ("validate-properties", "cost-surface") and not has_rho:
-        problems.append(f"{command} needs rho")
+    elif command in ("validate-properties", "cost-surface"):
+        need("rho")
     if pilots:
+        need("estimate.pairs", "estimate.loss_a", "estimate.loss_b")
         within_n("estimate.pairs", *(k for k, _ in config["estimate.pairs"] or ()))
         loss_a, loss_b = config["estimate.loss_a"], config["estimate.loss_b"]
-        if has_plan and not loss_a > loss_b:
+        if None not in (loss_a, loss_b) and not loss_a > loss_b:
             problems.append(f"estimate.loss_a = {loss_a} must exceed estimate.loss_b = {loss_b}")
     return problems
 

@@ -45,11 +45,13 @@ _count = _int_from(1)
 _finite = _checked(float, math.isfinite, "must be finite")
 _positive = _checked(_finite, lambda v: v > 0, "must be > 0")
 _non_negative = _checked(_finite, lambda v: v >= 0, "must be >= 0")
-# A sampled profile's costs and spreads.  A price multiplies a cost by counts
-# (K, E, rounds, clients), e_comp's spread is t_p_std / t_p_mean times
-# e_p_mean, and validate-properties scales costs by small factors.  These
-# bounds keep each such product of keys within [1e-150, 1e150], far from
-# where numpy overflows (its error names no key) or a cost turns 0.
+# A sampled profile's costs and spreads, and the synthetic shard sizes.  A
+# price multiplies a cost by counts (K, E, rounds, clients), e_comp's spread
+# is t_p_std / t_p_mean times e_p_mean, and validate-properties scales costs
+# by small factors.  These bounds keep each such product of keys within
+# [1e-150, 1e150], far from where numpy overflows (its error names no key) or
+# a cost turns 0; and a log-normal's relative spread (size_std / size_mean,
+# or comm_spread) at most 1e100, so its square, which sets sigma, is finite.
 _cost = _checked(_positive, lambda v: 1e-50 <= v <= 1e50, "must lie in [1e-50, 1e50]")
 _spread = _checked(_non_negative, lambda v: v <= 1e50, "must be <= 1e50")
 
@@ -86,8 +88,8 @@ SCHEMA = {
     "dataset.n_clients": (_count, None),
     "dataset.alpha": (_non_negative, 1.0),
     "dataset.beta": (_non_negative, 1.0),
-    "dataset.size_mean": (_positive, 100.0),
-    "dataset.size_std": (_non_negative, 50.0),
+    "dataset.size_mean": (_cost, 100.0),
+    "dataset.size_std": (_spread, 50.0),
     "dataset.dim": (_count, 60),
     "dataset.classes": (_int_from(2), 10),
     "dataset.images": (str, None),
@@ -101,10 +103,7 @@ SCHEMA = {
     "system.t_m_mean": (_cost, 0.2),
     "system.e_m_mean": (_cost, 0.02),
     "system.jitter": (_spread, 0.1),
-    "system.comm_spread": (
-        _checked(_non_negative, lambda v: math.isfinite(v * v), "its square must be finite"),
-        0.2,
-    ),
+    "system.comm_spread": (_spread, 0.2),
     "train.batch_size": (_count, 64),
     "train.eta0": (_non_negative, 0.1),
     "train.max_rounds": (_count, 300),

@@ -219,4 +219,12 @@ def load_profile(path):
     profile = SystemProfile(*(payload[name] for name in _ARRAYS), comm_jitter=jitter)
     if profile.n_clients != n_clients:
         raise ValueError("n_clients does not match array lengths")
+    # the bounds of a sampled profile's keys (fedcost.config's _cost and
+    # _spread), which keep every price of the file's numbers finite
+    for name in _ARRAYS:
+        values = getattr(profile, name)
+        if not np.all((values >= 1e-50) & (values <= 1e50)):
+            raise ValueError(f"{name} entries of profile file {path} must lie in [1e-50, 1e50]")
+    if profile.comm_jitter > 1e50:
+        raise ValueError(f"jitter of profile file {path} must be <= 1e50")
     return profile

@@ -3,7 +3,11 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import os
+import re
+import shutil
+import sys
 import tracemalloc
 
 import numpy as np
@@ -546,7 +550,10 @@ def test_k_above_n_fails_before_any_training(tmp_path, capsys, monkeypatch, comm
     assert calls == []
 
 
-@pytest.mark.parametrize("command, body, problem", [
+PLAN_KEYS = ("estimate.pairs", "estimate.loss_a", "estimate.loss_b")
+
+
+@pytest.mark.parametrize("command, body, why", [
     ("run", "mode = optimize\n", "mode=optimize needs rho or a complete estimation plan"),
     ("run", "mode = grid\nestimate.pairs = 1:2 3:4\n", "mode=grid needs rho"),
     ("optimize", "", "optimize needs rho or a complete estimation plan"),
@@ -554,12 +561,67 @@ def test_k_above_n_fails_before_any_training(tmp_path, capsys, monkeypatch, comm
     ("validate-properties", "", "validate-properties needs rho"),
     ("cost-surface", PLAN, "cost-surface needs rho"),
 ])
-def test_commands_reject_a_missing_rho_or_plan(tmp_path, command, body, problem):
+def test_commands_reject_a_missing_rho_or_plan(tmp_path, capsys, command, body, why):
+    # `why` labels the case: rho is needed outright, or else the plan keys
+    # the body leaves out
+    if command in ("validate-properties", "cost-surface"):
+        missing = ["rho"]
+    else:
+        missing = [key for key in PLAN_KEYS if f"{key} =" not in body]
     cfg = write_config(tmp_path, BASE.format(gamma=0.5) + body)
     problems = needs_for_command(parse_config(cfg), command)
-    assert len(problems) == 1 and problems[0].startswith(problem)
+    assert problems == [f"missing required key: {key}" for key in missing]
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: invalid configuration:"
+    ]
     assert not os.path.exists(tmp_path / "out")
+
+
+_DATA_FILES = {"dataset.images": "images.idx", "dataset.labels": "labels.idx",
+               "dataset.samples_per_client": "5"}
+_PLAN = {"estimate.pairs": "2:5 4:10", "estimate.loss_a": "1.6", "estimate.loss_b": "1.2"}
+# (command, the keys it needs besides the dataset's, keys it has but does not
+# need, whether it trains); each complete config holds nothing else
+_NEEDS = [
+    ("run", {"mode": "fixed", "control.k": "4", "control.e": "10"}, {}, True),
+    ("run", {"gamma": "0.5", "mode": "optimize", **_PLAN}, {}, True),
+    ("run", {"gamma": "0.5", "mode": "grid", **_PLAN}, {}, True),
+    ("run", {"gamma": "0.5", "mode": "optimize"}, {"rho": "500"}, True),
+    ("optimize", {"gamma": "0.5", **_PLAN}, {}, True),
+    ("optimize", {"gamma": "0.5"}, {"rho": "500"}, False),
+    ("estimate", {"gamma": "0.5", **_PLAN}, {"rho": "500"}, True),
+    ("compare-schedulers", {"sweep.variable": "k", "sweep.values": "1 2 4 8", "sweep.e": "10",
+                            "train.target_loss": "1.9"}, {}, True),
+    ("compare-schedulers", {"sweep.variable": "e", "sweep.values": "5", "sweep.k": "4",
+                            "train.target_loss": "1.9"}, {}, True),
+    ("validate-properties", {"gamma": "0.5", "rho": "500"}, {}, False),
+    ("cost-surface", {"gamma": "0.5", "rho": "500"}, {}, False),
+]
+
+
+@pytest.mark.parametrize("kind", ["synthetic", "idx"])
+@pytest.mark.parametrize("command, needed, given, trains", _NEEDS, ids=[
+    "run-fixed", "run-optimize-plan", "run-grid-plan", "run-optimize-rho", "optimize-plan",
+    "optimize-rho", "estimate", "compare-schedulers-k", "compare-schedulers-e",
+    "validate-properties", "cost-surface",
+])
+def test_each_needed_key_left_out_is_one_missing_key_problem(
+    tmp_path, kind, command, needed, given, trains
+):
+    needed = {"dataset.kind": kind, "dataset.n_clients": "8",
+              **(_DATA_FILES if kind == "idx" and trains else {}), **needed}
+    complete = {**needed, **given}
+
+    def problems(config):
+        body = "".join(f"{key} = {value}\n" for key, value in config.items())
+        return needs_for_command(parse_config(write_config(tmp_path, body)), command)
+
+    assert problems(complete) == []
+    for key in needed:
+        left_out = {k: v for k, v in complete.items() if k != key}
+        assert problems(left_out) == [f"missing required key: {key}"]
 
 
 def write_profile(tmp_path, n_clients):
@@ -721,13 +783,13 @@ def test_overflowing_step_size_is_one_divergence_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("old, new, named", [
     ("size_std = 10", "size_std = 10\nsystem.comm_spread = 1e308",
-     "line 8: bad value for system.comm_spread: its square must be finite"),
+     "line 8: bad value for system.comm_spread: must be <= 1e50"),
     ("size_std = 10", "size_std = 1e308",
-     "dataset.size_std / dataset.size_mean = 2.5e+306: its square must be finite"),
+     "line 7: bad value for dataset.size_std: must be <= 1e50"),
     ("size_mean = 40", "size_mean = 1e-308",
-     "dataset.size_std / dataset.size_mean = inf: its square must be finite"),
+     "line 6: bad value for dataset.size_mean: must lie in [1e-50, 1e50]"),
     ("size_mean = 40", "size_mean = 1e308",
-     "size_mean = 1e+308 with size_std = 10 draws a shard of 1e+308 rows"),
+     "line 6: bad value for dataset.size_mean: must lie in [1e-50, 1e50]"),
 ], ids=["comm_spread-1e308", "size_std-1e308", "size_mean-1e-308", "size_mean-1e308"])
 def test_overflowing_spreads_and_sizes_are_one_error_line(tmp_path, capsys, old, new, named):
     # each once ended in an OverflowError traceback, or trained on shard sizes
@@ -832,6 +894,82 @@ def test_readme_config_table_lists_each_key_once():
     # checks each default cell against SCHEMA
     keys = [key for key, _ in readme_config_rows()]
     assert sorted(keys) == sorted(SCHEMA)
+
+
+def readme_range_bullets():
+    """README's config ranges list, the first list of its "Config format"
+    section, one line per bullet."""
+    section = readme_section("Config format")
+    items = section[section.index("\n- "):].split("\n\n", 1)[0].split("\n- ")[1:]
+    return [" ".join(item.split()) for item in items]
+
+
+_NUMBER = r"-?\d+(?:\.\d+)?(?:e[+-]?\d+)?"
+
+
+def stated_range(bullet):
+    """((low, closed), (high, closed)) as a ranges bullet states them, None
+    for a side it leaves unbounded; "finite" bounds a side it leaves open
+    at the largest float."""
+    low = high = None
+    if m := re.search(rf"lie in \[({_NUMBER}), ({_NUMBER})\]", bullet):
+        low, high = (float(m[1]), True), (float(m[2]), True)
+    if m := re.search(rf"(>=?) ({_NUMBER})", bullet):
+        low = (float(m[2]), m[1] == ">=")
+    if m := re.search(rf"<= ({_NUMBER})", bullet):
+        high = (float(m[1]), True)
+    if "finite" in bullet:
+        low = low or (-sys.float_info.max, True)
+        high = high or (sys.float_info.max, True)
+    return low, high
+
+
+def _parsed_number(parse):
+    """What a numeric key's parser makes of 1, or of 2 where 1 is out of
+    its range; None for a key that is no number."""
+    for text in ("1", "2"):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        return value if isinstance(value, (int, float)) else None
+    return None
+
+
+def _next(value, toward, integer):
+    """The value next to `value` in the direction of `toward`."""
+    return value + (1 if toward > value else -1) if integer else math.nextafter(value, toward)
+
+
+def _takes(parse, value, integer):
+    try:
+        parse(str(value) if integer else repr(value))
+    except ValueError:
+        return False
+    return True
+
+
+def test_readme_ranges_list_states_each_numeric_key_s_parser_range():
+    # each numeric key sits in one bullet; its parser takes the last value
+    # within each edge the bullet states, and rejects the next one past it
+    bullets = readme_range_bullets()
+    numeric = {key: number for key, (parse, _) in SCHEMA.items()
+               if (number := _parsed_number(parse)) is not None}
+    assert "system.comm_spread" in numeric and "seed" in numeric
+    for key, number in numeric.items():
+        holding = [bullet for bullet in bullets if f"`{key}`" in bullet]
+        assert len(holding) == 1, (key, holding)
+        low, high = stated_range(holding[0])
+        integer = isinstance(number, int)
+        # a float parser rejects inf, so its bullet bounds both sides
+        assert low is not None and (high is None) == integer, (key, holding[0])
+        sides = [(low, -math.inf)] + ([] if integer else [(high, math.inf)])
+        for (edge, closed), outward in sides:
+            edge = int(edge) if integer else edge
+            last = edge if closed else _next(edge, -outward, integer)
+            parse = SCHEMA[key][0]
+            assert _takes(parse, last, integer), (key, last, holding[0])
+            assert not _takes(parse, _next(last, outward, integer), integer), (key, holding[0])
 
 
 def test_readme_quick_start_compiles_and_imports_names_that_exist():
@@ -975,6 +1113,41 @@ def test_malformed_profile_file_is_one_error_line(tmp_path, capsys, payload, pro
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {problem}")
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("name", ["t_comp", "e_comp", "comm_time_mean", "comm_energy_mean",
+                                  "jitter"])
+def test_profile_file_numbers_are_bounded_where_the_file_is_read(tmp_path, capsys, name):
+    # the file's entries lie in [1e-50, 1e50] and its jitter within 1e50, the
+    # bounds of a sampled profile's keys; past them a price can overflow in
+    # numpy, whose error names neither the file nor the array
+    write_profile(tmp_path, 4)
+    path = tmp_path / "profile.json"
+    fleet = json.loads(path.read_text())
+    body = (
+        BASE.format(gamma=0.5).replace("n_clients = 8", "n_clients = 4")
+        .replace("max_rounds = 40", "max_rounds = 3")
+        + f"rho = 500\nsystem.profile = {path}\n" + FIXED.replace("control.k = 4", "control.k = 2")
+    )
+    cfg = write_config(tmp_path, body)
+    inside = [1e50] if name == "jitter" else [1e50, 1e-50]
+    outside = [math.nextafter(1e50, math.inf), 1e308]
+    if name != "jitter":
+        outside.append(math.nextafter(1e-50, 0))
+    for value in inside + outside:
+        fleet[name] = value if name == "jitter" else [0.5, 0.5, 0.5, value]
+        path.write_text(json.dumps(fleet))
+        for command in ("optimize", "validate-properties", "cost-surface", "run"):
+            out = tmp_path / command
+            code = main([command, "--config", cfg, "--out", str(out)])
+            err = capsys.readouterr().err
+            if value in inside:
+                assert code == 0 and not err.startswith("error:"), (value, command, err)
+            else:
+                assert code == 1 and err.startswith("error: ") and err.count("\n") == 1
+                assert name in err and str(path) in err, (value, command, err)
+                assert not out.exists()
+            shutil.rmtree(out, ignore_errors=True)
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
